@@ -92,6 +92,11 @@ def run_bench() -> dict:
     # ratio uses only the kg headline, so skipping the representative
     # queries removes ~100s of self-contention per study
     kg_only = bool(os.environ.get("GRAFT_KG_ONLY"))
+    # the scaling children pin disk checkpointing at every parallelism
+    # level: the width dispatch would pick fused at 8 CPUs and disk at
+    # 32, and a ratio across two different pipelines measures the
+    # dispatch, not the scaling
+    ckpt_mode = "disk" if kg_only else None
 
     # warm the page cache (untimed): one full read of the inputs
     rd.read_parquet(pages_dir).count()
@@ -107,13 +112,13 @@ def run_bench() -> dict:
 
     out_dir = f"/tmp/guacray_bench/kg_out_{NCPU}"
     shutil.rmtree(out_dir, ignore_errors=True)
-    run_kg(pages_dir, out_dir)
+    run_kg(pages_dir, out_dir, checkpoint_mode=ckpt_mode)
     kg_sec = float("inf")
     repeats = int(os.environ.get("GRAFT_KG_REPEATS", "5"))
     for _ in range(repeats):  # min over repeats damps scheduler/OS noise
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.perf_counter()
-        counts = run_kg(pages_dir, out_dir)
+        counts = run_kg(pages_dir, out_dir, checkpoint_mode=ckpt_mode)
         kg_sec = min(kg_sec, time.perf_counter() - t0)
 
     queries = {"kg_e2e": round(kg_sec, 3)}
@@ -173,16 +178,10 @@ def run_scaling() -> dict:
         # 3 in-process repeats × 2 interleaved rounds = min-of-6 per
         # level (the round-2 protocol); the single-run bench defaults
         # to min-of-5 instead
-        # pin ONE checkpoint mode across both parallelism levels: the
-        # size-aware auto dispatch would pick fused at 8 CPUs and disk
-        # at 32 on this fixture (it optimizes each level's absolute
-        # time), and a ratio across two different pipelines measures
-        # the dispatch, not the scaling
+        # GRAFT_KG_ONLY also pins disk checkpointing (see run_bench)
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
                    GRAFT_BENCH_PAGES=str(scaling_pages),
                    GRAFT_KG_ONLY="1",
-                   GUACRAY_CHECKPOINT=os.environ.get(
-                       "GUACRAY_CHECKPOINT", "disk"),
                    GRAFT_KG_REPEATS=os.environ.get("GRAFT_KG_REPEATS", "3"))
         out = subprocess.run([sys.executable, os.path.abspath(__file__)],
                              env=env, capture_output=True, text=True,

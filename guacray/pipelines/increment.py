@@ -61,6 +61,8 @@ from .kg import (_commit_dir, broadcast_alias_map, linked_triples,
                  read_parquet_fast, write_table)
 
 LEDGER = "_applied.json"
+# bucketed store tables → the id column their buckets hash
+ID_COLS = {"nodes": "node_id", "edges": "edge_id"}
 
 NODE_SPECS = [("node_key", "min", "node_key"),
               ("node_type", "min", "node_type"),
@@ -400,7 +402,7 @@ def merge_delta_tables(out_dir: str, d_nodes, d_edges,
             if name == "edges":
                 existing = existing.drop_columns(["undirected"])
             existing = existing.map_batches(
-                _with_bucket(f"{name[:-1]}_id", nb),
+                _with_bucket(ID_COLS[name], nb),
                 batch_format="pyarrow")
             merged = existing.union(delta).groupby("bucket") \
                 .map_groups(merge_fn, batch_format="pyarrow")
@@ -442,6 +444,10 @@ def compact_store(out_dir: str, tables=("nodes", "edges")) -> dict:
     bucket data stays in the tasks.  A no-op table (all buckets
     already single-file) is left byte-for-byte alone — no swap.
     """
+    unknown = [name for name in tables if name not in ID_COLS]
+    if unknown:
+        raise ValueError(f"compact_store: unknown tables {unknown}; "
+                         f"expected a subset of {sorted(ID_COLS)}")
     stats = {}
     for name in tables:
         d = os.path.join(out_dir, name)
@@ -454,18 +460,19 @@ def compact_store(out_dir: str, tables=("nodes", "edges")) -> dict:
         ledger = _read_ledger(d)
         per_bucket = {b: _bucket_files(d, b) for b in _live_buckets(d)}
         multi = {b: fs for b, fs in per_bucket.items() if len(fs) > 1}
+        # a killed earlier run may have left a tmp dir — clear it even
+        # when this table needs no compaction
+        tmp = d.rstrip("/") + ".__tmp__"
+        shutil.rmtree(tmp, ignore_errors=True)
         if not multi:
             stats[f"compacted_{name}_buckets"] = 0
             continue
-        tmp = d.rstrip("/") + ".__tmp__"
-        shutil.rmtree(tmp, ignore_errors=True)
         refs = []
         for b, fs in sorted(multi.items()):
             bd = os.path.join(tmp, f"bucket={b}")
             os.makedirs(bd, exist_ok=True)
             refs.append(_compact_bucket.remote(
-                fs, os.path.join(bd, "compact-0.parquet"),
-                f"{name[:-1]}_id"))
+                fs, os.path.join(bd, "compact-0.parquet"), ID_COLS[name]))
         _hardlink_buckets(d, tmp, set(per_bucket) - set(multi))
         ray.get(refs)
         with open(_ledger_path(tmp), "w") as f:

@@ -25,7 +25,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.canonicalize import edges_table, evidence_table, nodes_table
+from ..stages.canonicalize import CANON_COLS, graph_tables
 from ..stages.extract import extract
 from ..stages.link import link
 from ..stages.normalize import normalize
@@ -180,74 +180,7 @@ def bulk_ingest_knobs(pages_path: str, heavy_pages_per_cpu: int = 16_000,
     return read_parquet_fast(pages_path), lc
 
 
-class _CkptFlushRegistry:
-    """Tracks in-flight background checkpoint writes for fused mode.
-
-    Names are content hashes of the block, so the sets are idempotent
-    under Ray task retries: a retried task re-registers and rewrites
-    the SAME name byte-for-byte, and a first attempt that died between
-    ``expect`` and ``mark_done`` is healed when the retry's write
-    lands (done is keyed by name, not by attempt)."""
-
-    def __init__(self):
-        self._expected: set = set()
-        self._done: set = set()
-        self._errors: dict = {}
-
-    def expect(self, name: str) -> None:
-        self._expected.add(name)
-
-    def mark_done(self, name: str, err: str | None = None) -> None:
-        if err is None:
-            self._done.add(name)
-        else:
-            self._errors[name] = err
-
-    def pending(self) -> tuple[list, dict]:
-        return sorted(self._expected - self._done), dict(self._errors)
-
-
-def _await_ckpt_flush(registry, timeout_s: float = 300.0) -> None:
-    """Barrier: block until every expected background write landed.
-
-    Sound because ``expect`` is registered SYNCHRONOUSLY inside the map
-    task before it returns — once the exchange execution completes,
-    every task has returned, hence every enqueued write is in
-    ``expected``; polling until the done-set covers it observes the
-    complete picture."""
-    import ray
-    deadline = time.time() + timeout_s
-    while True:
-        pending, errors = ray.get(registry.pending.remote())
-        if errors:
-            raise IOError(f"fused checkpoint writes failed: {errors}")
-        if not pending:
-            return
-        if time.time() > deadline:
-            # a worker process died AFTER its task returned but BEFORE
-            # its background write flushed — outside Ray's lineage, so
-            # the block is unrecoverable; fail loudly (rerun = fresh
-            # job, the tmp dir was never promoted)
-            raise IOError(
-                f"fused checkpoint flush timed out; missing: {pending}")
-        time.sleep(0.05)
-
-
-_FUSED_WRITE_POOL = None  # per worker process, lazily created
-
-
-def _fused_write_pool():
-    global _FUSED_WRITE_POOL
-    if _FUSED_WRITE_POOL is None:
-        from concurrent.futures import ThreadPoolExecutor
-        # 1 thread: writes are ~0.35 s per 200k-row block and blocks
-        # arrive slower than that; a single writer keeps at most one
-        # compression running beside the UDF instead of oversubscribing
-        _FUSED_WRITE_POOL = ThreadPoolExecutor(max_workers=1)
-    return _FUSED_WRITE_POOL
-
-
-def _fused_checkpoint_writer(tmp_dir: str, registry=None):
+def _fused_checkpoint_writer(tmp_dir: str):
     """Pass-through block stage: persist each triples block to the
     checkpoint tmp dir AND emit the pruned canonicalize projection.
 
@@ -257,19 +190,13 @@ def _fused_checkpoint_writer(tmp_dir: str, registry=None):
     checkpoint between the two, which is the pipeline's largest
     non-scaling term at saturation (BASELINE.md round-3 study).
 
-    With ``registry`` (async mode) the parquet write itself also moves
-    OFF the task's critical path onto a per-worker writer thread —
-    pyarrow's writer releases the GIL, so compression overlaps the next
-    batch's UDF work; ``_await_ckpt_flush`` is the completion barrier
-    before the tmp dir is promoted.  Durability is identical to sync
-    fused: nothing is promoted until every write landed.
+    The write is inline: the file has landed before the task returns,
+    so every checkpoint block is inside Ray's lineage.
 
     Idempotent under Ray task retries: the filename is a deterministic
     content hash of the block (vectorized), so a retried task rewrites
     its own file byte-for-byte instead of appending a duplicate.
     """
-    from ..stages.canonicalize import CANON_COLS
-
     def write_and_project(batch):
         import numpy as np
         import pandas as pd
@@ -289,23 +216,7 @@ def _fused_checkpoint_writer(tmp_dir: str, registry=None):
                     if i else ch
             name = (f"blk-{batch.num_rows}-"
                     f"{np.bitwise_xor.reduce(h):016x}-{h.sum():016x}")
-            path = os.path.join(tmp_dir, f"{name}.parquet")
-            if registry is None:
-                pq.write_table(batch, path)
-            else:
-                import ray
-                # synchronous on purpose: the task must not complete
-                # before its name is registered (see _await_ckpt_flush)
-                ray.get(registry.expect.remote(name))
-
-                def _bg_write(b=batch, p=path, n=name):
-                    try:
-                        pq.write_table(b, p)
-                        registry.mark_done.remote(n)
-                    except Exception as exc:  # surfaced at the barrier
-                        registry.mark_done.remote(n, repr(exc))
-
-                _fused_write_pool().submit(_bg_write)
+            pq.write_table(batch, os.path.join(tmp_dir, f"{name}.parquet"))
         return batch.select(CANON_COLS)
 
     return write_and_project
@@ -325,19 +236,23 @@ def linked_triples(pages_ds, alias_ref=None, link_concurrency=None):
 
 def kg_datasets(pages_ds, alias_ref=None, num_buckets: int | None = None,
                 link_concurrency=None) -> dict:
-    """Wire the full pipeline; returns lazy Datasets keyed by table name.
+    """Wire the full pipeline; returns Datasets keyed by table name.
 
-    The triples dataset feeds three consumers; it is NOT materialized —
-    each output re-executes the (cheap, deterministic) lineage. Callers
-    that consume all three at scale should write triples first and read
-    it back (see ``run_kg``).
+    nodes/edges come from ``graph_tables`` — the same kind-tagged
+    exchange ``run_kg`` runs — which materializes the exchange, so this
+    call executes the pipeline once.  ``triples`` and ``evidence`` stay
+    lazy and re-execute the (cheap, deterministic) lineage per
+    consumer: triples-only callers should use ``linked_triples``, and
+    callers that consume every table at scale should write triples
+    first and read it back (see ``run_kg``).
     """
     triples = linked_triples(pages_ds, alias_ref, link_concurrency)
+    nodes, edges = graph_tables(triples, num_buckets)
     return {
         "triples": triples,
-        "nodes": nodes_table(triples, num_buckets),
-        "edges": edges_table(triples, num_buckets),
-        "evidence": evidence_table(triples),
+        "nodes": nodes,
+        "edges": edges,
+        "evidence": triples.select_columns(schemas.EVIDENCE.names),
     }
 
 
@@ -358,9 +273,6 @@ def _dir_num_rows(d: str) -> int:
     return total
 
 
-EVIDENCE_COLS = ["edge_id", "document_ref", "url", "warc_ts"]
-
-
 def evidence_view(out_dir: str):
     """The evidence table is a pure projection of the triples
     checkpoint — serving it as a pruned read of ``triples/`` avoids a
@@ -368,10 +280,10 @@ def evidence_view(out_dir: str):
     provenance inline on every edge instead,
     keyvalue/isDependency.go:46-56)."""
     return rd.read_parquet(os.path.join(out_dir, "triples"),
-                           columns=EVIDENCE_COLS)
+                           columns=schemas.EVIDENCE.names)
 
 
-def _auto_checkpoint_mode(pages_path: str, cpu_threshold: int = 8) -> str:
+def _auto_checkpoint_mode(cpu_threshold: int = 8) -> str:
     """Pick disk vs fused checkpointing from cluster width.
 
     Round-4 interleaved A/Bs (v3 fixtures, run_kg, min-of-2 per fresh
@@ -385,25 +297,21 @@ def _auto_checkpoint_mode(pages_path: str, cpu_threshold: int = 8) -> str:
         262k @ 32 CPUs: disk  13.0 s  vs fused 16.8 s
         1M   @ 32 CPUs: disk  15.2 s  vs fused 17.0 s
 
-    Narrow deployments are compute-bound: fused's removal of the
-    write→teardown→re-read boundary plus the writer-thread overlap
-    wins.  At width, the single fused execution packs poorly — the
-    actor pool holds nearly every slot while the exchange's task ops
-    need them — and the two-execution disk pipeline wins despite the
-    boundary.  (Before the extraction pre-filter the heavier UDF hid
-    the packing cost and fused also won 1M @ 32; the dispatch was
-    re-derived after that change — re-measure if the link kernel's
-    cost profile shifts again.)
+    The fused cells were measured with the block write on a worker
+    thread; the inline write ``fused`` runs measured 31.8 s vs disk's
+    37.7 s at 8 CPUs (round 3) and costs less CPU than the threaded
+    write at 2 CPUs (BASELINE.md).
 
-    ``pages_path`` is unused today (the crossover proved
-    size-independent in the measured range) but stays in the signature
-    so a future size-sensitive rule doesn't ripple through callers.
-    Outputs are byte-identical across modes
-    (test_checkpoint_modes_equal_outputs), so the dispatch never
-    changes results; disk remains the wide/default choice and the
-    resume boundary at 100 TB.
+    Narrow deployments are compute-bound: fused's removal of the
+    write→teardown→re-read boundary wins.  At width, the single fused
+    execution packs poorly — the actor pool holds nearly every slot
+    while the exchange's task ops need them — and the two-execution
+    disk pipeline wins despite the boundary.  Re-measure if the link
+    kernel's cost profile shifts.  Outputs are byte-identical across
+    modes (test_checkpoint_modes_equal_outputs), so the dispatch never
+    changes results; disk remains the wide choice and the resume
+    boundary at 100 TB.
     """
-    del pages_path
     cpus = int(ray.cluster_resources().get("CPU", 4))
     return "fused" if cpus <= cpu_threshold else "disk"
 
@@ -416,17 +324,28 @@ def run_kg(pages_path: str, out_dir: str, *, num_buckets: int | None = None,
            public_keys: dict[str, bytes] | None = None) -> dict:
     """One-shot run: pages parquet → out_dir/{triples,nodes,edges}.
 
-    Three executions total in the default ("disk") mode, each streaming
-    end-to-end:
-      1. read → normalize→extract→link (one fused actor pass) →
-         write compacted triples checkpoint (extract runs exactly once)
-      2+3. nodes+edges = combiner + ONE kind-tagged bucketed exchange
-         over the checkpoint
+    ``checkpoint_mode`` picks how the triples checkpoint meets the
+    canonical exchange (``None`` = ``_auto_checkpoint_mode``'s width
+    dispatch); anything else raises ``ValueError`` before any work:
+
+      "disk"  — two executions: read → normalize→extract→link (one
+                fused actor pass) → write the compacted checkpoint;
+                then re-read it pruned to ``CANON_COLS`` for the
+                combiner + ONE kind-tagged bucketed exchange.  Wins
+                wide clusters and is the resume boundary at 100 TB.
+      "fused" — ONE streaming execution: each triples block is
+                written to the checkpoint inside the same map task
+                that feeds the exchange (``_fused_checkpoint_writer``);
+                the tmp dir is promoted atomically once the exchange
+                has materialized.  Wins narrow clusters.
+
     The evidence table is a projection view of the checkpoint
     (``evidence_view``) — no extra pass.  Returns row counts per table
-    (parquet footers, no extra Ray job).  See the checkpoint-mode
-    comment below for the measured "fused"/"mem" A/B variants.
+    (parquet footers, no extra Ray job).
     """
+    if checkpoint_mode not in (None, "disk", "fused"):
+        raise ValueError("checkpoint_mode must be None, 'disk' or "
+                         f"'fused', got {checkpoint_mode!r}")
     alias_ref = broadcast_alias_map(seed)
     pages, auto_lc = bulk_ingest_knobs(pages_path)
     triples = linked_triples(pages, alias_ref,
@@ -445,47 +364,12 @@ def run_kg(pages_path: str, out_dir: str, *, num_buckets: int | None = None,
             read_binary_docs(attestations_path), public_keys or {}))
         triples = triples.union(att)
     tri_dir = os.path.join(out_dir, "triples")
-    # checkpoint mode (explicit arg > env GUACRAY_CHECKPOINT > the
-    # size-aware _auto_checkpoint_mode dispatch above):
-    #   "disk" — write the durable checkpoint, then re-read it for the
-    #            exchange in a second execution.  Wins wide clusters
-    #            (auto picks it above 8 CPUs) and is the resume
-    #            boundary at 100 TB.
-    #   "fused" — ONE streaming execution: each triples block is
-    #            persisted to the checkpoint as a side effect of the
-    #            same map task that feeds the canonicalize exchange
-    #            (``_fused_checkpoint_writer``; same durable artifact,
-    #            promoted atomically after the exchange materializes
-    #            AND the flush barrier confirms every background write
-    #            landed).  The parquet write runs on a per-worker
-    #            thread (round 4), so unlike the round-3 sync variant
-    #            it no longer stalls the exchange's critical path at
-    #            high parallelism.
-    #   "fused-sync" — round-3 fused: write inline in the map task.
-    #            Measured 31.8s vs disk's 37.7s at 8 CPUs (IO-bound
-    #            regime) and ~equal at 1M pages / 32 CPUs; kept for
-    #            deployments that must not lose a block to a worker
-    #            crash in the post-task flush window (the async barrier
-    #            fails loudly, but cannot recover the block).
-    #   "mem"  — pin the FULL triples in the object store so the
-    #            exchange skips the disk re-read.  Measured 2.5× WORSE
-    #            than disk at 1M pages (object-store pressure) — only
-    #            sensible at interactive scales.
-    mode = checkpoint_mode or os.environ.get("GUACRAY_CHECKPOINT") \
-        or _auto_checkpoint_mode(pages_path)
-    from ..stages.canonicalize import CANON_COLS, graph_tables
-    fused_tmp = flush_registry = None
-    if mode == "mem":
-        tri = triples.materialize()
-        write_table(tri, tri_dir, schemas.TRIPLES, min_rows_per_file=200_000)
-    elif mode in ("fused", "fused-sync", "disk-async"):
+    mode = checkpoint_mode or _auto_checkpoint_mode()
+    if mode == "fused":
         import shutil
         fused_tmp = tri_dir.rstrip("/") + ".__tmp__"
         shutil.rmtree(fused_tmp, ignore_errors=True)
         os.makedirs(fused_tmp, exist_ok=True)
-        if mode in ("fused", "disk-async"):
-            flush_registry = ray.remote(num_cpus=0)(
-                _CkptFlushRegistry).remote()
         # batch_size=200k: the writer coalesces the linker's many small
         # output blocks into compacted checkpoint files (same 200k-row
         # target as disk mode's min_rows_per_file) AND hands the
@@ -493,24 +377,9 @@ def run_kg(pages_path: str, out_dir: str, *, num_buckets: int | None = None,
         # blocks collapses almost nothing and the exchange would
         # shuffle ~the full triple volume (first fused A/B measured
         # 25% SLOWER than disk for exactly this reason)
-        tri = triples.map_batches(
-            _fused_checkpoint_writer(fused_tmp, flush_registry),
-            batch_format="pyarrow", batch_size=200_000)
-        if mode == "disk-async":
-            # "disk-async" splits disk mode's two executions WITHOUT its
-            # boundary costs: execution 1 is the pure linker pass (the
-            # actor pool owns every slot — none of fused's packing
-            # contention with exchange task ops), whose output is the
-            # PRUNED canon projection pinned in the object store;
-            # execution 2 runs the exchange from those blocks (no
-            # executor-boundary serial checkpoint re-read).  The full
-            # checkpoint blocks flush on per-worker writer threads
-            # overlapped with BOTH executions; the barrier + atomic
-            # promotion happen after the exchange exactly like fused.
-            # Memory: only CANON_COLS rides the object store (the heavy
-            # evidence columns go straight to disk), unlike "mem" which
-            # pinned full triples and lost 2.5× to spill pressure.
-            tri = tri.materialize()
+        tri = triples.map_batches(_fused_checkpoint_writer(fused_tmp),
+                                  batch_format="pyarrow",
+                                  batch_size=200_000)
     else:
         write_table(triples, tri_dir, schemas.TRIPLES,
                     min_rows_per_file=200_000)
@@ -518,13 +387,10 @@ def run_kg(pages_path: str, out_dir: str, *, num_buckets: int | None = None,
         # raw surfaces — those columns stay on disk for evidence_view
         tri = read_parquet_fast(tri_dir, columns=CANON_COLS)
     nodes, edges = graph_tables(tri, num_buckets)
-    if fused_tmp is not None:
+    if mode == "fused":
         # graph_tables materialized the exchange, so every upstream
-        # block (and its side-effect checkpoint file) is complete —
+        # task (and its inline checkpoint write) has completed —
         # promote the tmp dir atomically, exactly like write_table
-        if flush_registry is not None:
-            _await_ckpt_flush(flush_registry)
-            ray.kill(flush_registry)
         if not any(f.endswith(".parquet") for f in os.listdir(fused_tmp)):
             pq.write_table(schemas.TRIPLES.empty_table(),
                            os.path.join(fused_tmp, "empty.parquet"))
@@ -600,12 +466,9 @@ def run_kg_resumable(pages_files: list[str], out_dir: str, *,
     # read_parquet expands a single dir, but a LIST of paths must be files
     part_files = [os.path.join(d, f) for d in part_dirs
                   for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
-    from ..stages.canonicalize import CANON_COLS, graph_tables
     tri = read_parquet_fast(part_files, columns=CANON_COLS)
     counts = {}
-    # ONE kind-tagged exchange for both tables (same plan as run_kg);
-    # running nodes_table/edges_table separately would re-read the
-    # checkpoint and pay the shuffle twice
+    # ONE kind-tagged exchange for both tables (same plan as run_kg)
     nodes, edges = graph_tables(tri, num_buckets)
     write_table(nodes, os.path.join(out_dir, "nodes"), schemas.NODES)
     write_table(edges, os.path.join(out_dir, "edges"), schemas.EDGES)

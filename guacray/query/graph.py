@@ -34,9 +34,11 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from .. import schemas
+
 
 class GraphStore:
-    EVIDENCE_COLS = ["edge_id", "document_ref", "url", "warc_ts"]
+    EVIDENCE_COLS = schemas.EVIDENCE.names
 
     def __init__(self, out_dir: str):
         self.nodes_path = os.path.join(out_dir, "nodes")
@@ -55,7 +57,6 @@ class GraphStore:
 
     def _read_nodes(self, flt=None, columns=None):
         if columns is None and self._incremental:
-            from .. import schemas
             columns = [f.name for f in schemas.NODES]
         return rd.read_parquet(self.nodes_path, filter=flt,
                                columns=columns)
@@ -115,7 +116,6 @@ class GraphStore:
                 flt = p if flt is None else flt & p
             cols = None
             if self._incremental:
-                from .. import schemas
                 cols = [f.name for f in schemas.EDGES]
             return rd.read_parquet(self.edges_path, filter=flt,
                                    columns=cols)
@@ -796,8 +796,6 @@ class GraphStore:
         import json
         import time as _t
 
-        from .. import schemas
-
         removed = self._delete_table_rows(self.edges_path, "edge_id",
                                           edge_ids, schemas.EDGES)
         log = os.path.join(os.path.dirname(self.edges_path),
@@ -827,8 +825,6 @@ class GraphStore:
         every removed edge id."""
         import json
         import time as _t
-
-        from .. import schemas
 
         # collect the incident edge ids first (small: one node's edges)
         df = self.neighbors(node_id).select_columns(["edge_id"]).to_pandas()

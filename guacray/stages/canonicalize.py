@@ -67,28 +67,19 @@ def resolve_buckets_pow2(num_buckets: int | None = None) -> int:
     return 1 << (b - 1).bit_length()
 
 
-def _exchange(partials, merge_fn, num_buckets: int,
-              coalesce: bool | None = None):
+def _exchange(partials, merge_fn, num_buckets: int):
     """Bucketed exchange: coalesce the (small) partial blocks to
     ``num_buckets`` blocks first — the sort shuffle moves #map-blocks ×
     #reduce-blocks objects, so feeding it hundreds of tiny combiner
     outputs costs more than the sort itself (measured 5× on 550k rows).
-
-    ``coalesce``: Round-4 interleaved A/B at 1M pages: the repartition
-    wins ~3× at 32 CPUs and ~1.7× at 8 EVEN on an already-compacted
-    23-block checkpoint read (12.5s → 4.1s / 19.8s → 11.8s for the full
-    exchange) — the old block-count skip heuristic's premise only holds
-    for inputs already bucketed BY THE EXCHANGE KEY, which a block
-    count cannot detect.  So ``None`` now means repartition (round-5,
-    per that measurement); ``False`` is the explicit escape for callers
-    that measured a genuinely pre-bucketed layout.
+    Round-4 interleaved A/B at 1M pages: the repartition wins ~3× at 32
+    CPUs and ~1.7× at 8 EVEN on an already-compacted 23-block
+    checkpoint read (12.5s → 4.1s / 19.8s → 11.8s for the full
+    exchange) — compact blocks are still not bucketed by the exchange
+    key, so it always runs.
     """
-    if coalesce is None:
-        coalesce = True
-    if coalesce:
-        partials = partials.repartition(num_buckets)
-    return partials.groupby("bucket").map_groups(merge_fn,
-                                                 batch_format="pyarrow")
+    return partials.repartition(num_buckets).groupby("bucket").map_groups(
+        merge_fn, batch_format="pyarrow")
 
 
 def _bucket_of(ids: pa.ChunkedArray | pa.Array, num_buckets: int) -> pa.Array:
@@ -187,12 +178,6 @@ def _node_rows_batch(batch: pa.Table, num_buckets: int) -> pa.Table:
     return agg.append_column("bucket", _bucket_of(agg["node_id"], num_buckets))
 
 
-def _node_merge_group(group: pa.Table) -> pa.Table:
-    return agg_by_name(group, ["node_id"], [
-        ("node_key", "min", "node_key"), ("node_type", "min", "node_type"),
-        ("name", "min", "name"), ("qualifiers", "min", "qualifiers")])
-
-
 def _edge_partial_batch(batch: pa.Table, num_buckets: int) -> pa.Table:
     """Combiner: partial edge aggregate (count evidence, min first_seen)."""
     from ..functions.text import SYMMETRIC_PREDICATES
@@ -236,18 +221,6 @@ def with_undirected(t: pa.Table) -> pa.Table:
                                                   value_set=sym))
 
 
-def _edge_merge_group(group: pa.Table) -> pa.Table:
-    return agg_by_name(group, ["edge_id"], [
-        ("subj_id", "min", "subj_id"), ("predicate", "min", "predicate"),
-        ("obj_id", "min", "obj_id"), ("props", "min", "props"),
-        ("first_seen", "min", "first_seen"),
-        ("n_evidence", "sum", "n_evidence")])
-
-
-def add_ids(ds):
-    return ds.map_batches(add_ids_batch, batch_format="pyarrow")
-
-
 # ---- combined nodes+edges canonicalization (single exchange) ----------
 #
 # nodes and edges are two keyed dedups over the same triples input; a
@@ -288,19 +261,12 @@ def _combined_merge(group: pa.Table) -> pa.Table:
         ("d", "min", "d"), ("ts", "min", "ts"), ("n", "sum", "n")])
 
 
-def graph_tables(linked_ds, num_buckets: int | None = None,
-                 coalesce: bool | None = None):
+def graph_tables(linked_ds, num_buckets: int | None = None):
     """One exchange → (nodes Dataset, edges Dataset).
 
     The combined result is materialized (it is canonical-size — orders
     of magnitude smaller than the triples input), then the two table
     views are cheap in-memory projections.
-
-    ``coalesce`` forwards to ``_exchange``; the ``None`` default
-    repartitions (the round-4 A/B measured that winning ~3× even on a
-    compacted checkpoint read — compact blocks are still not bucketed
-    by the exchange key).  Pass False only for input already bucketed
-    by the exchange's own key.
     """
     nb = resolve_buckets(num_buckets)
     # batch_size=None → combiner sees whole blocks; on 1024-row default
@@ -309,8 +275,7 @@ def graph_tables(linked_ds, num_buckets: int | None = None,
     partial = linked_ds.map_batches(
         lambda b: _combined_partial(b, nb), batch_format="pyarrow",
         batch_size=None)
-    combined = _exchange(partial, _combined_merge, nb,
-                         coalesce=coalesce).materialize()
+    combined = _exchange(partial, _combined_merge, nb).materialize()
 
     def to_nodes(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["kind"], pa.scalar(0, type=pa.int8())))
@@ -329,35 +294,6 @@ def graph_tables(linked_ds, num_buckets: int | None = None,
     nodes = combined.map_batches(to_nodes, batch_format="pyarrow")
     edges = combined.map_batches(to_edges, batch_format="pyarrow")
     return nodes, edges
-
-
-def nodes_table(linked_ds, num_buckets: int | None = None):
-    """linked+id'd triples Dataset → canonical nodes Dataset.
-
-    Columns: node_id, node_key, node_type, name.
-    """
-    nb = resolve_buckets(num_buckets)
-    partial = linked_ds.map_batches(
-        lambda b: _node_rows_batch(b, nb), batch_format="pyarrow",
-        batch_size=None)  # whole blocks: the combiner's collapse ratio
-    return _exchange(partial, _node_merge_group, nb)
-
-
-def edges_table(linked_ds, num_buckets: int | None = None):
-    """linked+id'd triples Dataset → canonical edges Dataset.
-
-    Columns: edge_id, subj_id, predicate, obj_id, first_seen, n_evidence.
-    """
-    nb = resolve_buckets(num_buckets)
-    partial = linked_ds.map_batches(
-        lambda b: _edge_partial_batch(b, nb), batch_format="pyarrow",
-        batch_size=None)
-    return _exchange(partial, _edge_merge_group, nb).map_batches(
-        with_undirected, batch_format="pyarrow")
-
-
-def _bucket_of_str(vals, num_buckets: int) -> pa.Array:
-    return _bucket_of(vals, num_buckets)
 
 
 def document_summary(linked_ds, num_buckets: int | None = None):
@@ -382,7 +318,7 @@ def document_summary(linked_ds, num_buckets: int | None = None):
             pairs.schema.get_field_index("n_triples"), "n_triples",
             pc.cast(pairs["n_triples"], pa.int64()))
         return pairs.append_column(
-            "bucket", _bucket_of_str(pairs["document_ref"], nb))
+            "bucket", _bucket_of(pairs["document_ref"], nb))
 
     def merge(group: pa.Table) -> pa.Table:
         pairs = agg_by_name(group, ["document_ref", "edge_id"], [
@@ -399,13 +335,3 @@ def document_summary(linked_ds, num_buckets: int | None = None):
 
     return _exchange(linked_ds.map_batches(
         partial, batch_format="pyarrow", batch_size=None), merge, nb)
-
-
-def evidence_table(linked_ds):
-    """Append-only provenance: edge_id → (document_ref, url, warc_ts).
-
-    The analog of GUAC's blob store + per-edge Origin/Collector/
-    DocumentRef provenance columns.  No shuffle: pure projection.
-    """
-    return linked_ds.select_columns(
-        ["edge_id", "document_ref", "url", "warc_ts"])

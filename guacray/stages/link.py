@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..functions.keys import entity_key, fallback_key
-
 
 class Linker:
     """Actor-pool batch linker.
@@ -67,179 +65,6 @@ class Linker:
         # a separate map operator would re-serialize the whole table)
         from .canonicalize import add_ids_batch
         return add_ids_batch(batch)
-
-
-def link_via_join(ds, alias_table, num_partitions: int | None = None):
-    """Scale-path linking: entity resolution as distributed hash joins.
-
-    The broadcast-dictionary actor pool (``link``) assumes the alias
-    map fits a worker's heap.  Beyond that (north-star: sharded
-    dictionaries), linking is a JOIN problem:
-
-      1. distinct surfaces (two-phase dedup — far smaller than triples)
-      2. surfaces ⋈ alias table (hash join; alias table is a Dataset,
-         sharded by the join, never held whole anywhere)
-      3. resolved (surface → type/key/name) mapping joined back onto
-         the triples, once per side
-
-    Produces byte-identical output to the actor-pool path (tested).
-    ``alias_table`` columns: surface, etype, canonical.
-    """
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    from ..functions.keys import entity_key, fallback_key
-    from ..stages.agg import auto_join, semi_join
-
-    # 1. distinct surfaces
-    def surfaces_batch(t: pa.Table) -> pa.Table:
-        s = pa.concat_tables([pa.table({"surface": t["subj_surface"]}),
-                              pa.table({"surface": t["obj_surface"]})])
-        agg = s.group_by("surface").aggregate([])
-        return agg
-
-    surfaces = ds.map_batches(surfaces_batch, batch_format="pyarrow",
-                              batch_size=None)
-    # the per-block group_by above is only a combiner: finish with the
-    # two-phase bucketed exchange so each surface resolves exactly ONCE
-    # globally (duplicate mapping rows would fan out the join-back)
-    from ..stages.agg import grouped_agg
-    surfaces = grouped_agg(surfaces, "surface",
-                           [("surface", "count", "__n")]) \
-        .drop_columns(["__n"]).materialize()
-
-    # license identifiers resolve STRUCTURALLY, before the alias join —
-    # the same precedence as keys.link_surface (a LicenseRef-<fnv32a> or
-    # known SPDX-style id types as "license" even if some alias
-    # collides case-insensitively)
-    from ..functions.text import KNOWN_LICENSES
-
-    def _license_mask(t: pa.Table):
-        return pc.or_(
-            pc.starts_with(t["surface"], pattern="LicenseRef-"),
-            pc.is_in(t["surface"],
-                     value_set=pa.array(sorted(KNOWN_LICENSES))))
-
-    def mint_license(t: pa.Table) -> pa.Table:
-        t = t.filter(_license_mask(t))
-        surfs = t["surface"].to_pylist()
-        return pa.table({
-            "surface": t["surface"],
-            "rtype": pa.array(["license"] * len(surfs), type=pa.string()),
-            "rkey": pa.array([entity_key("license", s) for s in surfs],
-                             type=pa.string()),
-            "rname": t["surface"],
-        })
-
-    license_side = surfaces.map_batches(mint_license,
-                                        batch_format="pyarrow")
-    surfaces = surfaces.map_batches(
-        lambda t: t.filter(pc.invert(_license_mask(t))),
-        batch_format="pyarrow")
-    surfaces = surfaces.map_batches(
-        lambda t: t.append_column("lsurface", pc.utf8_lower(t["surface"])),
-        batch_format="pyarrow")
-
-    # 2. resolve: matched surfaces via the alias join, unmatched via
-    # distributed fallback minting — the union covers EVERY distinct
-    # surface, so the join-back below is a plain inner join
-    matched = auto_join(surfaces, alias_table,
-                        on="lsurface", right_on="alias")
-
-    def finish_resolution(df: pd.DataFrame) -> pd.DataFrame:
-        from ..functions.keys import linked_key
-        return pd.DataFrame({
-            "surface": df["surface"],
-            "rtype": df["etype"],
-            "rkey": [linked_key(s, e, c) for s, e, c in
-                     zip(df["surface"], df["etype"], df["canonical"])],
-            "rname": df["canonical"],
-        })
-
-    matched = matched.map_batches(finish_resolution, batch_format="pandas")
-
-    unmatched = semi_join(surfaces, alias_table,
-                          on="lsurface", right_on="alias",
-                          anti=True).materialize()
-
-    # pkgName-level second pass (keys.link_surface's trie fallback): an
-    # unmatched versioned surface joins the alias table on its BASE name
-    from ..functions.text import VERSION_RE
-
-    def with_base(t: pa.Table) -> pa.Table:
-        bases = []
-        for v in t["surface"].to_pylist():
-            m = VERSION_RE.match(v.strip())
-            bases.append(m.group("base").lower() if m else "\x00none")
-        return t.append_column("lbase", pa.array(bases, type=pa.string()))
-
-    based = unmatched.map_batches(with_base, batch_format="pyarrow")
-    base_matched = auto_join(based, alias_table,
-                             on="lbase", right_on="alias")
-    base_matched = base_matched.map_batches(
-        lambda t: t.filter(pc.equal(t["etype"], pa.scalar("product"))),
-        batch_format="pyarrow")
-    base_matched2 = base_matched.map_batches(finish_resolution,
-                                             batch_format="pandas")
-
-    # fallback minting for everything still unresolved
-    fallback_side = semi_join(
-        unmatched,
-        base_matched.map_batches(
-            lambda t: pa.table({"surface": t["surface"]}),
-            batch_format="pyarrow"),
-        on="surface", anti=True)
-
-    def mint_fallback(t: pa.Table) -> pa.Table:
-        surfs = t["surface"].to_pylist()
-        return pa.table({
-            "surface": t["surface"],
-            "rtype": pa.array(["unknown"] * len(surfs), type=pa.string()),
-            "rkey": pa.array([fallback_key(v) for v in surfs],
-                             type=pa.string()),
-            "rname": pa.array([v.strip().lower() for v in surfs],
-                              type=pa.string()),
-        })
-
-    fallback_side = fallback_side.map_batches(mint_fallback,
-                                              batch_format="pyarrow")
-    mapping = matched.union(base_matched2).union(fallback_side) \
-        .union(license_side).materialize()
-
-    # 3. join the resolved mapping back, once per side (each surface
-    # appears exactly once in `mapping`, so the inner join is 1:1) —
-    # the mapping stays a Dataset end to end: auto_join broadcasts it
-    # only when it is small, and hash-partitions when it is not
-    out = ds
-    for side in ("subj", "obj"):
-        side_map = mapping.map_batches(
-            lambda t, side=side: pa.table({
-                "__map_surface": t["surface"],
-                f"{side}_type": t["rtype"],
-                f"{side}_key": t["rkey"],
-                f"{side}_name": t["rname"],
-            }),
-            batch_format="pyarrow")
-        out = auto_join(out, side_map, on=f"{side}_surface",
-                        right_on="__map_surface")
-        out = out.map_batches(
-            lambda t: t.drop_columns([c for c in ("__map_surface",)
-                                      if c in t.column_names]),
-            batch_format="pyarrow")
-
-    from .canonicalize import add_ids_batch
-    return out.map_batches(add_ids_batch, batch_format="pyarrow")
-
-
-def alias_dataset(seed: int = 42):
-    """The alias dictionary as a Dataset (surface rows) — the sharded
-    form of the linker state."""
-    import ray.data as rd
-
-    from ..data.catalog import build_catalog
-    rows = [{"alias": a, "etype": t, "canonical": c}
-            for a, (t, c) in build_catalog(seed).alias_map().items()]
-    return rd.from_items(rows)
 
 
 def default_pool_size() -> tuple[int, int]:

@@ -92,7 +92,7 @@ def _pagerank_driver(nodes, edges, iters: int, damping: float,
         # leaks its teleport mass (consistent with the dataset path's
         # is_in mask and the SQL oracle's IN clause)
         p = np.zeros(n)
-        si = idx.get_indexer(np.asarray(list(seeds), dtype=object))
+        si = idx.get_indexer(np.asarray(seeds, dtype=object))
         p[si[si >= 0]] = 1.0 / len(seeds)
     r = p.copy()
     for _ in range(iters):
@@ -113,7 +113,8 @@ def pagerank(nodes, edges, *, iters: int = 3, damping: float = 0.85,
     (node_id; subj_id/obj_id/undirected).  Returns a Dataset with
     columns (node_id, rank); ranks sum to 1 up to float error.
 
-    ``seeds`` (unique node_ids) switches to PERSONALIZED PageRank: the
+    ``seeds`` (node_ids; duplicates count once, an empty list raises
+    ``ValueError``) switches to PERSONALIZED PageRank: the
     restart vector (initial mass, teleport, dangling redistribution)
     concentrates on the seed set instead of being uniform — the
     influence-weighted sibling of the blast-radius BFS (reference
@@ -128,6 +129,12 @@ def pagerank(nodes, edges, *, iters: int = 3, damping: float = 0.85,
     distributed path streams (forced-threshold pytest proves both
     paths equal).
     """
+    if seeds is not None:
+        if not seeds:
+            raise ValueError("seeds must name at least one node_id "
+                             "(pass None for global PageRank)")
+        # both paths divide the restart mass by the DISTINCT seed count
+        seeds = sorted(set(seeds))
     n = nodes.count()
     if 0 < n and n + edges.count() <= driver_limit:
         return _pagerank_driver(nodes, edges, iters, damping, seeds)
@@ -144,7 +151,7 @@ def pagerank(nodes, edges, *, iters: int = 3, damping: float = 0.85,
         def p_arr(t: pa.Table) -> pa.Array:
             return pa.array(np.full(len(t), 1.0 / n), pa.float64())
     else:
-        seed_set = pa.array(sorted(set(seeds)), pa.string())
+        seed_set = pa.array(seeds, pa.string())
         inv_ns = 1.0 / len(seeds)
 
         def p_arr(t: pa.Table) -> pa.Array:

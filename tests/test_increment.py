@@ -9,6 +9,7 @@ import os
 
 import pandas as pd
 import pyarrow.parquet as pq
+import pytest
 import ray.data as rd
 
 from guacray.data.pages import generate_pages
@@ -390,15 +391,21 @@ def test_compact_store_crash_recovery(tmp_path):
         pd.testing.assert_frame_equal(
             _table_df(read_graph_table(store, n), k), before[n])
 
-    # stale tmp dir from a killed run must not poison the next one
-    stale = os.path.join(store, "edges.__tmp__")
-    os.makedirs(os.path.join(stale, "bucket=0"), exist_ok=True)
-    with open(os.path.join(stale, "bucket=0", "garbage.parquet"),
-              "w") as f:
-        f.write("not parquet")
+    # stale tmp dirs from a killed run must not poison the next one —
+    # on the table still to compact AND on the already-compact one
+    stale = [os.path.join(store, f"{n}.__tmp__") for n in ("edges", "nodes")]
+    for s in stale:
+        os.makedirs(os.path.join(s, "bucket=0"), exist_ok=True)
+        with open(os.path.join(s, "bucket=0", "garbage.parquet"),
+                  "w") as f:
+            f.write("not parquet")
     r = compact_store(store)
     assert r["compacted_nodes_buckets"] == 0  # already done
-    assert not os.path.exists(stale)
+    assert not any(os.path.exists(s) for s in stale)
     for n, k in (("nodes", "node_id"), ("edges", "edge_id")):
         pd.testing.assert_frame_equal(
             _table_df(read_graph_table(store, n), k), before[n])
+
+    # an unknown table name fails before any work
+    with pytest.raises(ValueError, match="unknown tables.*triples"):
+        compact_store(store, tables=("nodes", "triples"))

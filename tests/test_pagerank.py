@@ -165,3 +165,28 @@ def test_personalized_pagerank_vs_numpy(ray_session, driver_limit):
     # restart mass concentrates near seeds: isolated non-seed node
     # gets exactly zero
     assert got["n05"] == 0.0
+
+
+@pytest.mark.parametrize("driver_limit", [4_000_000, 0])
+def test_personalized_pagerank_duplicate_seeds(ray_session, driver_limit):
+    """A repeated seed counts once: the restart mass splits over the
+    DISTINCT seeds on both the driver and the dataset path."""
+    edges = [(0, 1, False), (1, 2, False), (2, 0, False),
+             (3, 4, True), (0, 3, False)]
+    nodes, et = _graph(6, edges)
+
+    def ranks(seeds):
+        return pagerank(rd.from_arrow(nodes), rd.from_arrow(et), iters=3,
+                        seeds=seeds, driver_limit=driver_limit
+                        ).to_pandas().set_index("node_id")["rank"]
+
+    dup, dedup = ranks(["n04", "n00", "n04"]), ranks(["n00", "n04"])
+    for i in range(6):
+        assert dup[f"n{i:02d}"] == pytest.approx(dedup[f"n{i:02d}"],
+                                                 abs=1e-12), i
+
+
+def test_personalized_pagerank_rejects_empty_seeds(ray_session):
+    nodes, et = _graph(2, [(0, 1, False)])
+    with pytest.raises(ValueError, match="seeds"):
+        pagerank(rd.from_arrow(nodes), rd.from_arrow(et), seeds=[])

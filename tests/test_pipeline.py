@@ -144,24 +144,6 @@ def test_document_summary(small_pages):
         assert row["url"] == r["url"]
 
 
-def test_link_via_join_equals_actor_pool(small_pages):
-    """The scale-path join-based linker produces byte-identical triples
-    to the broadcast-dictionary actor pool."""
-    from guacray.stages.extract import extract
-    from guacray.stages.link import alias_dataset, link, link_via_join
-    from guacray.stages.normalize import normalize
-
-    raw = extract(normalize(rd.from_arrow(small_pages)))
-    via_pool = link(raw).to_pandas()
-    via_join = link_via_join(
-        extract(normalize(rd.from_arrow(small_pages))),
-        alias_dataset()).to_pandas()
-    key = ["url", "subj_surface", "predicate", "obj_surface"]
-    a = via_pool.sort_values(key + ["edge_id"]).reset_index(drop=True)
-    b = via_join.sort_values(key + ["edge_id"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a[sorted(a.columns)], b[sorted(b.columns)])
-
-
 def test_pr_gate_at_larger_corpus():
     """Triple P/R vs reference at a 4096-page corpus (the ≥0.95 gate;
     exact equality expected — our extractor IS the reference)."""
@@ -181,25 +163,28 @@ def test_pr_gate_at_larger_corpus():
 
 def test_checkpoint_modes_equal_outputs(small_pages_path, tmp_path):
     from guacray.pipelines.kg import run_kg
-    dirs = {m: str(tmp_path / m)
-            for m in ("disk", "mem", "fused", "fused-sync", "disk-async")}
-    counts = {m: run_kg(small_pages_path, d, checkpoint_mode=m)
-              for m, d in dirs.items()}
-    assert (counts["disk"] == counts["mem"] == counts["fused"]
-            == counts["fused-sync"] == counts["disk-async"])
-    a = dirs["disk"]
-    for b in (dirs["mem"], dirs["fused"], dirs["fused-sync"],
-              dirs["disk-async"]):
-        for t, key in (("nodes", "node_id"), ("edges", "edge_id"),
-                       ("triples", "edge_id")):
-            x = rd.read_parquet(f"{a}/{t}").to_pandas() \
-                .sort_values(key).reset_index(drop=True)
-            y = rd.read_parquet(f"{b}/{t}").to_pandas() \
-                .sort_values(key).reset_index(drop=True)
-            if t == "triples":
-                x = x.sort_values(["url", "edge_id"]).reset_index(drop=True)
-                y = y.sort_values(["url", "edge_id"]).reset_index(drop=True)
-            pd.testing.assert_frame_equal(x, y[x.columns])
+    a, b = str(tmp_path / "disk"), str(tmp_path / "fused")
+    assert run_kg(small_pages_path, a, checkpoint_mode="disk") \
+        == run_kg(small_pages_path, b, checkpoint_mode="fused")
+    for t, key in (("nodes", ["node_id"]), ("edges", ["edge_id"]),
+                   ("triples", ["url", "edge_id"])):
+        x = rd.read_parquet(f"{a}/{t}").to_pandas() \
+            .sort_values(key).reset_index(drop=True)
+        y = rd.read_parquet(f"{b}/{t}").to_pandas() \
+            .sort_values(key).reset_index(drop=True)
+        pd.testing.assert_frame_equal(x, y[x.columns])
+
+
+def test_unknown_checkpoint_mode_raises(small_pages_path, tmp_path):
+    """A mode outside {None, "disk", "fused"} fails at the API boundary,
+    before any output is created."""
+    import os
+    import pytest
+    from guacray.pipelines.kg import run_kg
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match="checkpoint_mode"):
+        run_kg(small_pages_path, out, checkpoint_mode="mem")
+    assert not os.path.exists(out)
 
 
 def test_fused_checkpoint_rerun_idempotent(small_pages_path, tmp_path):
@@ -230,36 +215,12 @@ def test_fused_checkpoint_empty_input(tmp_path):
     assert pq.read_table(f"{out}/triples").schema.equals(schemas.TRIPLES)
 
 
-def test_auto_checkpoint_mode_dispatch(small_pages_path):
+def test_auto_checkpoint_mode_dispatch():
     """Width-aware mode dispatch: narrow clusters (≤ threshold CPUs)
     run fused, wide ones disk.  The test session runs 4 CPUs."""
     from guacray.pipelines.kg import _auto_checkpoint_mode
-    assert _auto_checkpoint_mode(small_pages_path) == "fused"
-    assert _auto_checkpoint_mode(small_pages_path, cpu_threshold=2) == "disk"
-    # path is irrelevant to the width rule (kept for future rules)
-    assert _auto_checkpoint_mode("/nonexistent/path") == "fused"
-
-
-def test_ckpt_flush_barrier_paths():
-    """The fused flush barrier's three outcomes: clean drain, surfaced
-    write error, and timeout on a write that never lands."""
-    import ray
-    import pytest
-    from guacray.pipelines.kg import _CkptFlushRegistry, _await_ckpt_flush
-
-    reg = ray.remote(num_cpus=0)(_CkptFlushRegistry).remote()
-    ray.get(reg.expect.remote("blk-a"))
-    ray.get(reg.mark_done.remote("blk-a"))
-    _await_ckpt_flush(reg, timeout_s=5)  # drains clean
-
-    ray.get(reg.expect.remote("blk-b"))
-    with pytest.raises(IOError, match="missing.*blk-b"):
-        _await_ckpt_flush(reg, timeout_s=0.3)  # never lands → timeout
-
-    ray.get(reg.mark_done.remote("blk-b", "disk full"))
-    with pytest.raises(IOError, match="disk full"):
-        _await_ckpt_flush(reg, timeout_s=5)  # error surfaces
-    ray.kill(reg)
+    assert _auto_checkpoint_mode() == "fused"
+    assert _auto_checkpoint_mode(cpu_threshold=2) == "disk"
 
 
 def test_bulk_ingest_knobs_dispatch(small_pages_path):
