@@ -44,14 +44,14 @@ def sha256_hex(data: bytes | str) -> str:
 
 def bucket_of_hexid(ids, num_buckets: int):
     """Vectorized ``int(h[:8], 16) % num_buckets`` over a column of
-    lowercase hex digests (content_id / md5 outputs).
+    lowercase hex content ids.
 
-    Two jobs: (1) kills the per-row Python loop on combiner hot paths
-    (exact-dedup / fingerprint partials, store merges); (2) is the
-    PERSISTENT bucket function for the incremental store layout — it is
-    defined entirely by this file (first 32 bits of our own content
-    hash), so unlike ``pd.util.hash_array`` it can never drift across
-    pandas versions and silently re-route ids to different buckets.
+    The PERSISTENT bucket function of the incremental store layout
+    (``pipelines/increment.py`` and enrich's bucketed-store merge) —
+    nothing else.  It is defined entirely by this file (first 32 bits
+    of our own content hash), so unlike ``pd.util.hash_array`` it can
+    never drift across pandas versions and silently re-route ids to
+    different buckets.  In-flight shuffles use ``stages.agg.bucket_of``.
     """
     import numpy as np
     import pyarrow as pa

@@ -36,9 +36,9 @@ import ray
 import ray.data as rd
 
 from .. import schemas
-from ..functions.hashing import bucket_of_hexid, content_id
+from ..functions.hashing import content_id
 from ..functions.keys import entity_key, node_id
-from ..stages.canonicalize import resolve_buckets
+from ..stages.agg import grouped_agg, semi_join
 from .kg import _dir_num_rows, write_table
 
 _CATEGORIES = ["alpha", "beta", "gamma", "delta", "epsilon",
@@ -241,7 +241,6 @@ def nodes_needing_scan(out_dir: str, *, node_type: str,
     scanned) — a distributed anti join against the fresh slice of the
     scan state (size-aware: broadcast array below threshold, Bloom +
     hash join above; the state table never reaches the driver)."""
-    from ..stages.agg import semi_join
     nodes = _read_store_nodes(out_dir, node_type)
     state = _scan_state_path(out_dir)
     if not os.path.isdir(state):
@@ -353,7 +352,6 @@ def run_enrichment(out_dir: str, *, certifier: str = "category",
         merge_delta_tables(out_dir, d_nodes, d_edges, dict(ledger))
     else:
         # flat store: full union + keyed dedup rewrite (atomic)
-        nb = resolve_buckets(None)
         for name, new_ds, key, schema in (
                 ("edges", new_edges, "edge_id", schemas.EDGES),
                 ("nodes", new_nodes, "node_id", schemas.NODES)):
@@ -363,21 +361,9 @@ def run_enrichment(out_dir: str, *, certifier: str = "category",
                 return t.select(schema.names).cast(schema)
             existing = existing.map_batches(normalize_schema,
                                             batch_format="pyarrow")
-            merged = existing.union(new_ds)
-
-            def bucketed(t: pa.Table, key=key) -> pa.Table:
-                return t.append_column("bucket",
-                                       bucket_of_hexid(t[key], nb))
-
-            def dedup(t: pa.Table, key=key) -> pa.Table:
-                from ..stages.agg import agg_by_name
-                cols = [c for c in t.column_names
-                        if c not in (key, "bucket")]
-                return agg_by_name(t, [key], [(c, "min", c) for c in cols])
-
-            merged = merged.map_batches(bucketed, batch_format="pyarrow") \
-                .repartition(nb).groupby("bucket") \
-                .map_groups(dedup, batch_format="pyarrow")
+            merged = grouped_agg(existing.union(new_ds), [key],
+                                 [(c, "min", c) for c in schema.names
+                                  if c != key])
             write_table(merged, os.path.join(out_dir, name), schema)
 
     # commit scan state (atomic via write_table): union old + newly

@@ -54,9 +54,8 @@ import ray.data as rd
 
 from .. import schemas
 from ..functions.hashing import BUCKET_HASH_ID, bucket_of_hexid
-from ..stages.agg import agg_by_name
-from ..stages.canonicalize import (CANON_COLS, graph_tables,
-                                   resolve_buckets, with_undirected)
+from ..stages.agg import agg_by_name, resolve_buckets
+from ..stages.canonicalize import CANON_COLS, graph_tables, with_undirected
 from .kg import (_commit_dir, broadcast_alias_map, linked_triples,
                  read_parquet_fast, write_table)
 
@@ -467,14 +466,22 @@ def compact_store(out_dir: str, tables=("nodes", "edges")) -> dict:
         if not multi:
             stats[f"compacted_{name}_buckets"] = 0
             continue
-        refs = []
+        refs, dsts = [], []
         for b, fs in sorted(multi.items()):
             bd = os.path.join(tmp, f"bucket={b}")
             os.makedirs(bd, exist_ok=True)
-            refs.append(_compact_bucket.remote(
-                fs, os.path.join(bd, "compact-0.parquet"), ID_COLS[name]))
+            dsts.append(os.path.join(bd, "compact-0.parquet"))
+            refs.append(_compact_bucket.remote(fs, dsts[-1], ID_COLS[name]))
         _hardlink_buckets(d, tmp, set(per_bucket) - set(multi))
         ray.get(refs)
+        # a task that ran on another node (or lost its write) returns
+        # normally but leaves no file here — publishing that tmp dir
+        # would silently drop the bucket's rows
+        missing = [f for f in dsts if not os.path.exists(f)]
+        if missing:
+            raise RuntimeError(
+                f"compact_store: {len(missing)} compacted bucket file(s) "
+                f"missing, e.g. {missing[0]} — live table left unchanged")
         with open(_ledger_path(tmp), "w") as f:
             json.dump(ledger, f)
         _commit_dir(tmp, d)

@@ -95,9 +95,15 @@ def upsert_sidecar(path: str, new_ds, keys: list[str], ts_col: str,
 
 
 def _commit_dir(tmp: str, out_dir: str) -> None:
-    """Atomically promote a fully-written tmp dir to ``out_dir``."""
+    """Atomically promote a fully-written tmp dir to ``out_dir``.
+
+    A commit that died between its two renames left ``.__old__`` as the
+    only copy of the live table and no ``out_dir``: roll it back before
+    anything else, so the cleanup below never deletes the last copy."""
     import shutil
     old = out_dir.rstrip("/") + ".__old__"
+    if os.path.isdir(old) and not os.path.exists(out_dir):
+        os.replace(old, out_dir)
     shutil.rmtree(old, ignore_errors=True)
     if os.path.isdir(out_dir):
         os.replace(out_dir, old)

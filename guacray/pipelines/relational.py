@@ -28,7 +28,8 @@ import ray
 import ray.data as rd
 
 from ..functions.rounding import pc_round
-from ..stages.agg import (agg_by_name, auto_join, grouped_agg, semi_join,
+from ..stages.agg import (agg_by_name, auto_join, grouped_agg,
+                          resolve_buckets, resolve_buckets_pow2, semi_join,
                           semi_join_filter, topk)
 from ..stages.ann import brute_force_topk, lsh_topk, make_query_vector
 from ..stages.dedup import (exact_dedup, jaccard_pairs, minhash_lsh_pairs,
@@ -407,7 +408,6 @@ def events_sessions(sf_dir: str, gap_minutes: int = 30, num_buckets: int | None 
     sessionization over (user, ts)-sorted rows (ray_guide.md pattern).
     One Python call per *bucket*, not per user.
     """
-    from ..stages.canonicalize import resolve_buckets_pow2
     num_buckets = resolve_buckets_pow2(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["user_id", "ts", "event_id"])
@@ -438,7 +438,6 @@ def top_order_per_customer(sf_dir: str, num_buckets: int | None = None):
     """Per-group top-1 (window rank): each customer's highest-value
     order.  The row_number()-over-partition pattern: hash-bucket by
     key, vectorized idxmax within each bucket."""
-    from ..stages.canonicalize import resolve_buckets_pow2
     num_buckets = resolve_buckets_pow2(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "orders"),
                          columns=["o_custkey", "o_orderkey", "o_totalprice"])
@@ -463,7 +462,6 @@ def orders_rank_window(sf_dir: str, num_buckets: int | None = None):
     DESC, o_orderkey), partitioned by customer.  Same distributed shape
     as the other windows: hash-bucket by key, vectorized pandas ranks
     per bucket (one Python call per bucket, never per group)."""
-    from ..stages.canonicalize import resolve_buckets_pow2
     num_buckets = resolve_buckets_pow2(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "orders"),
                          columns=["o_custkey", "o_orderkey", "o_totalprice"])
@@ -499,7 +497,6 @@ def events_gap_us(sf_dir: str, num_buckets: int | None = None):
     """Lag window: microseconds since the user's previous event (-1 for
     the first).  The per-key ordered-window pattern: hash-bucket by
     user, vectorized pandas diff within each bucket."""
-    from ..stages.canonicalize import resolve_buckets_pow2
     num_buckets = resolve_buckets_pow2(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts"])
@@ -554,7 +551,6 @@ def events_sliding_avg(sf_dir: str, window_s: int = 3600,
     operator; the expression is hash-bucket by key + per-bucket
     vectorized pandas time-rolling over (user, ts)-sorted rows —
     equivalent to SQL `RANGE INTERVAL 1 HOUR PRECEDING`."""
-    from ..stages.canonicalize import resolve_buckets_pow2
     num_buckets = resolve_buckets_pow2(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts", "value"])
@@ -616,7 +612,6 @@ def events_running_total(sf_dir: str, num_buckets: int | None = None):
     total of `value` in (ts, event_id) order — the remaining classic
     window frame next to lag/sliding/session/rank.  Same expression
     pattern: hash-bucket by user, vectorized pandas cumsum per bucket."""
-    from ..stages.canonicalize import resolve_buckets_pow2
     num_buckets = resolve_buckets_pow2(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts", "value"])
@@ -638,7 +633,6 @@ def events_running_total(sf_dir: str, num_buckets: int | None = None):
 def events_first_type(sf_dir: str, num_buckets: int | None = None):
     """first_value window: each user's first event_type in (ts,
     event_id) order — one row per user."""
-    from ..stages.canonicalize import resolve_buckets_pow2
     num_buckets = resolve_buckets_pow2(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts",
@@ -1022,8 +1016,6 @@ def doc_stratified_sample(sf_dir: str, per_group: int = 20, seed: int = 7,
     the same ranking is expressible in SQL, so this sampling op is
     fully oracle-checked, unlike RNG-based sampling)."""
     import hashlib
-
-    from ..stages.canonicalize import resolve_buckets
     num_buckets = resolve_buckets(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "lang"])
 

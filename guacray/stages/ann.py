@@ -17,7 +17,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.rounding import np_round_half_away
-from .canonicalize import resolve_buckets, resolve_buckets_pow2
+from .agg import exchange, resolve_buckets, resolve_buckets_pow2
 
 
 def make_query_vector(dim: int = 64, seed: int = 7) -> np.ndarray:
@@ -136,10 +136,6 @@ def label_centroids(ds, dim: int = 64, round_dp: int = 4):
     dense vectors.  Output explodes to scalar rows so the result is
     SQL-comparable (DuckDB: avg(embedding[i]) grouped by label, i).
     """
-    import pyarrow.compute as pc
-
-    from ..functions.rounding import np_round_half_away
-
     nb = resolve_buckets(None)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -158,7 +154,6 @@ def label_centroids(ds, dim: int = 64, round_dp: int = 4):
         })
 
     def merge(group: pa.Table) -> pa.Table:
-        import pandas as pd
         df = group.to_pandas()
         rows = {"label": [], "dim": [], "avg_v": []}
         for label, g in df.groupby("label"):
@@ -175,8 +170,7 @@ def label_centroids(ds, dim: int = 64, round_dp: int = 4):
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=None)
-    return partials.repartition(nb).groupby("bucket") \
-        .map_groups(merge, batch_format="pyarrow")
+    return exchange(partials, merge, nb)
 
 
 class HyperplaneLSH:
@@ -218,8 +212,6 @@ def embedding_near_dups(ds, *, threshold: float = 0.95, n_planes: int = 10,
     """
     import pyarrow.compute as pc
 
-    from ..functions.rounding import np_round_half_away
-
     _h = HyperplaneLSH(dim=64, n_planes=n_planes, seed=seed)
     nb = resolve_buckets_pow2()
     hashed = ds.map_batches(_h, batch_format="pyarrow")
@@ -229,7 +221,6 @@ def embedding_near_dups(ds, *, threshold: float = 0.95, n_planes: int = 10,
         batch_format="pyarrow")
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        import pandas as pd
         df = group.to_pandas()
         out_a, out_b, out_s = [], [], []
         for _, g in df.groupby("lsh_bucket"):
@@ -253,8 +244,7 @@ def embedding_near_dups(ds, *, threshold: float = 0.95, n_planes: int = 10,
             "cos_sim": pa.array(out_s, type=pa.float64()),
         })
 
-    return hashed.repartition(nb).groupby("bucket") \
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+    return exchange(hashed, bucket_pairs, nb)
 
 
 def lsh_topk(ds, query: np.ndarray, k: int = 50, *, n_planes: int = 8,

@@ -12,13 +12,14 @@ shuffle, expressed as a two-phase aggregation:
     emits ≤1 row per key.  This is the skew defence: a head entity
     appearing in 10% of all pages still contributes at most one row per
     block to the shuffle, so no reducer sees the raw hot-key volume.
-  phase 2 (exchange): an explicit hash-bucket column
-    (``int(key_prefix,16) % B``) + coalesce + ``groupby("bucket").
-    map_groups`` — one vectorized merge per bucket, B scaling with the
-    cluster.  Using B coarse buckets instead of per-key groups keeps
-    the reduce side vectorized (pyarrow group_by inside each bucket)
-    rather than one Python call per key; coalescing combiner outputs
-    first keeps the sort shuffle from paying #blocks² transfers.
+  phase 2 (``agg.exchange``): an explicit hash-bucket column
+    (``agg.bucket_of``: pandas siphash of the key, mod B) + coalesce +
+    ``groupby("bucket").map_groups`` — one vectorized merge per
+    bucket, B scaling with the cluster.  Using B coarse buckets instead
+    of per-key groups keeps the reduce side vectorized (pyarrow
+    group_by inside each bucket) rather than one Python call per key;
+    coalescing combiner outputs first keeps the sort shuffle from
+    paying #blocks² transfers.
     ``graph_tables`` shares ONE exchange between the nodes and edges
     dedups (kind-tagged rows) — half the passes of running them apart.
 
@@ -35,9 +36,7 @@ import pyarrow.compute as pc
 from ..functions.keys import edge_id as _edge_id
 from ..functions.keys import node_id as _node_id
 from ..functions.keys import node_qualifiers
-from .agg import agg_by_name
-
-DEFAULT_BUCKETS = 32
+from .agg import agg_by_name, bucket_of, exchange, resolve_buckets
 
 # the columns the canonicalization exchange actually consumes — readers
 # of the triples checkpoint should prune to these (url / document_ref /
@@ -46,51 +45,6 @@ CANON_COLS = ["subj_id", "obj_id", "edge_id",
               "subj_key", "subj_type", "subj_name",
               "obj_key", "obj_type", "obj_name",
               "predicate", "props", "warc_ts"]
-
-
-def resolve_buckets(num_buckets: int | None) -> int:
-    """Shuffle parallelism: scales with the cluster (2×CPUs, min 32).
-    On a 256-node cluster this becomes thousands of buckets — the knob
-    that keeps reduce-side blocks bounded as data grows."""
-    if num_buckets is not None:
-        return num_buckets
-    import ray
-    return max(DEFAULT_BUCKETS, int(ray.cluster_resources().get("CPU", 16)))
-
-
-def resolve_buckets_pow2(num_buckets: int | None = None) -> int:
-    """``resolve_buckets`` rounded up to a power of two, for stages that
-    derive the bucket with ``pc.bit_wise_and(key, nb - 1)`` (cheapest
-    vectorized modulo for int keys).  Same scaling property: grows with
-    the cluster instead of capping reduce parallelism at a literal."""
-    b = resolve_buckets(num_buckets)
-    return 1 << (b - 1).bit_length()
-
-
-def _exchange(partials, merge_fn, num_buckets: int):
-    """Bucketed exchange: coalesce the (small) partial blocks to
-    ``num_buckets`` blocks first — the sort shuffle moves #map-blocks ×
-    #reduce-blocks objects, so feeding it hundreds of tiny combiner
-    outputs costs more than the sort itself (measured 5× on 550k rows).
-    Round-4 interleaved A/B at 1M pages: the repartition wins ~3× at 32
-    CPUs and ~1.7× at 8 EVEN on an already-compacted 23-block
-    checkpoint read (12.5s → 4.1s / 19.8s → 11.8s for the full
-    exchange) — compact blocks are still not bucketed by the exchange
-    key, so it always runs.
-    """
-    return partials.repartition(num_buckets).groupby("bucket").map_groups(
-        merge_fn, batch_format="pyarrow")
-
-
-def _bucket_of(ids: pa.ChunkedArray | pa.Array, num_buckets: int) -> pa.Array:
-    """Deterministic shuffle bucket from an id column — vectorized
-    (pandas siphash with a fixed key, stable across runs/processes);
-    this runs on every combiner output row, so a Python int(h[:8],16)
-    loop here was the exchange's main per-row residue."""
-    import numpy as np
-    import pandas as pd
-    h = pd.util.hash_array(ids.to_numpy(zero_copy_only=False))
-    return pa.array((h % num_buckets).astype(np.int32), type=pa.int32())
 
 
 # Worker-level content-id memo caches: identity hashes are pure
@@ -175,7 +129,8 @@ def _node_rows_batch(batch: pa.Table, num_buckets: int) -> pa.Table:
     agg = agg.append_column("qualifiers", pa.array(
         [node_qualifiers(k) for k in agg["node_key"].to_pylist()],
         type=pa.string()))
-    return agg.append_column("bucket", _bucket_of(agg["node_id"], num_buckets))
+    return agg.append_column("bucket",
+                             bucket_of(agg, ["node_id"], num_buckets))
 
 
 def _edge_partial_batch(batch: pa.Table, num_buckets: int) -> pa.Table:
@@ -209,7 +164,8 @@ def _edge_partial_batch(batch: pa.Table, num_buckets: int) -> pa.Table:
         ("edge_id", "count", "n_evidence")])
     agg = agg.set_column(agg.schema.get_field_index("n_evidence"),
                          "n_evidence", pc.cast(agg["n_evidence"], pa.int64()))
-    return agg.append_column("bucket", _bucket_of(agg["edge_id"], num_buckets))
+    return agg.append_column("bucket",
+                             bucket_of(agg, ["edge_id"], num_buckets))
 
 
 def with_undirected(t: pa.Table) -> pa.Table:
@@ -275,7 +231,7 @@ def graph_tables(linked_ds, num_buckets: int | None = None):
     partial = linked_ds.map_batches(
         lambda b: _combined_partial(b, nb), batch_format="pyarrow",
         batch_size=None)
-    combined = _exchange(partial, _combined_merge, nb).materialize()
+    combined = exchange(partial, _combined_merge, nb).materialize()
 
     def to_nodes(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["kind"], pa.scalar(0, type=pa.int8())))
@@ -318,7 +274,7 @@ def document_summary(linked_ds, num_buckets: int | None = None):
             pairs.schema.get_field_index("n_triples"), "n_triples",
             pc.cast(pairs["n_triples"], pa.int64()))
         return pairs.append_column(
-            "bucket", _bucket_of(pairs["document_ref"], nb))
+            "bucket", bucket_of(pairs, ["document_ref"], nb))
 
     def merge(group: pa.Table) -> pa.Table:
         pairs = agg_by_name(group, ["document_ref", "edge_id"], [
@@ -333,5 +289,5 @@ def document_summary(linked_ds, num_buckets: int | None = None):
                                  pc.cast(agg[c], pa.int64()))
         return agg
 
-    return _exchange(linked_ds.map_batches(
+    return exchange(linked_ds.map_batches(
         partial, batch_format="pyarrow", batch_size=None), merge, nb)

@@ -23,9 +23,17 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import bucket_of_hexid
-from .agg import agg_by_name
-from .canonicalize import resolve_buckets, resolve_buckets_pow2
+from .agg import (agg_by_name, auto_join, bucket_of, exchange, grouped_agg,
+                  resolve_buckets, resolve_buckets_pow2)
+
+
+def _int_bucketed(ds, col: str, nb: int):
+    """Stamp the exchange bucket ``col & (nb - 1)`` on an int64 key
+    column (``nb`` a power of two: the cheapest vectorized modulo)."""
+    return ds.map_batches(lambda t: t.append_column(
+        "bucket", pc.cast(pc.bit_wise_and(t[col], nb - 1), pa.int32())),
+        batch_format="pyarrow")
+
 
 # ---------------------------------------------------------------- exact
 
@@ -39,34 +47,19 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     """Exact dedup: one row per distinct text.
 
     Output: text_hash, doc_id (min id = canonical copy), n_copies.
-    Two-phase: per-batch partial (hash, min-id, count) then bucketed
-    merge — the hot-key-safe pattern from stages/canonicalize.py.
+    A row-local md5 map, then ``grouped_agg`` (per-block combiner +
+    bucketed exchange — the hot-key-safe pattern of canonicalization).
     """
-    num_buckets = resolve_buckets(num_buckets)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({
+    def hashed(batch: pa.Table) -> pa.Table:
+        return pa.table({
             "text_hash": _md5_col(batch[text_col].to_pylist()),
             id_col: batch[id_col],
         })
-        agg = agg_by_name(t, ["text_hash"],
-                          [(id_col, "min", id_col),
-                           ("text_hash", "count", "n_copies")])
-        return agg.append_column(
-            "bucket", bucket_of_hexid(agg["text_hash"], num_buckets))
 
-    def merge(group: pa.Table) -> pa.Table:
-        agg = agg_by_name(group, ["text_hash"],
-                          [(id_col, "min", id_col),
-                           ("n_copies", "sum", "n_copies")])
-        return agg.set_column(
-            agg.schema.get_field_index("n_copies"), "n_copies",
-            pc.cast(agg["n_copies"], pa.int64()))
-
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=None)
-    return partials.repartition(num_buckets).groupby("bucket") \
-        .map_groups(merge, batch_format="pyarrow")
+    return grouped_agg(
+        ds.map_batches(hashed, batch_format="pyarrow", batch_size=None),
+        ["text_hash"], [(id_col, "min", id_col),
+                        ("text_hash", "count", "n_copies")], num_buckets)
 
 
 # --------------------------------------------------------- span dedup
@@ -143,7 +136,6 @@ def span_dedup(ds, w: int = 15, text_col: str = "text",
     vectorized group pass — spans never leave their bucket, payload
     rows never carry document text.  A second tiny exchange sums the
     per-doc partials (2 ints per doc)."""
-    from .agg import _bucket_from_keys, grouped_agg
     num_buckets = resolve_buckets(num_buckets)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -152,7 +144,7 @@ def span_dedup(ds, w: int = 15, text_col: str = "text",
                           [("enc", "min", "min_enc"),
                            ("enc", "count", "n_occ")])
         return agg.append_column(
-            "bucket", _bucket_from_keys(agg, ["span"], num_buckets))
+            "bucket", bucket_of(agg, ["span"], num_buckets))
 
     def merge(group: pa.Table) -> pa.Table:
         g = agg_by_name(group, ["span", id_col],
@@ -175,8 +167,7 @@ def span_dedup(ds, w: int = 15, text_col: str = "text",
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               batch_size=None)
-    flags = partials.repartition(num_buckets).groupby("bucket") \
-        .map_groups(merge, batch_format="pyarrow")
+    flags = exchange(partials, merge, num_buckets)
     return grouped_agg(flags, [id_col],
                        [("n_spans", "sum", "n_spans"),
                         ("n_dup_spans", "sum", "n_dup_spans")])
@@ -369,21 +360,14 @@ def minhash_lsh_pairs(ds, *, num_perm: int = 64, bands: int = 16,
     # coarse bucket on band_key so each map_groups call is vectorized;
     # bucket count scales with the cluster (resolve_buckets_pow2), never
     # a literal that caps reduce parallelism
-    banded = banded.map_batches(lambda t: t.append_column(
-        "bucket", pc.cast(pc.bit_wise_and(t["band_key"], nb - 1), pa.int32())),
-        batch_format="pyarrow")
-    cand = banded.repartition(nb).groupby("bucket").map_groups(
-        bucket_candidates, batch_format="pyarrow")
-    cand = cand.map_batches(lambda t: t.append_column(
-        "bucket", pc.cast(pc.bit_wise_and(t["doc_a"], nb - 1), pa.int32())),
-        batch_format="pyarrow")
-    pairs = cand.repartition(nb).groupby("bucket").map_groups(
-        pair_dedup, batch_format="pyarrow")
+    banded = _int_bucketed(banded, "band_key", nb)
+    cand = exchange(banded, bucket_candidates, nb)
+    cand = _int_bucketed(cand, "doc_a", nb)
+    pairs = exchange(cand, pair_dedup, nb)
 
     # verify: join each side's signature back onto the distinct pairs
     # (the est value is band-independent, so computing it once per pair
     # here is exactly equivalent to the per-bucket filter it replaces)
-    from .agg import auto_join
     pairs = auto_join(pairs, signed, on="doc_a", right_on="__ja",
                       right_rename={"doc_id": "__ja", "sig": "sig_a"})
     pairs = auto_join(pairs, signed, on="doc_b", right_on="__jb",
@@ -534,9 +518,7 @@ def simhash_pairs(ds, max_hamming: int = 3):
 
     exploded = signed.map_batches(band_rows, batch_format="pyarrow")
     nb = resolve_buckets_pow2()
-    exploded = exploded.map_batches(lambda t: t.append_column(
-        "bucket", pc.cast(pc.bit_wise_and(t["band_key"], nb - 1), pa.int32())),
-        batch_format="pyarrow")
+    exploded = _int_bucketed(exploded, "band_key", nb)
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
         out_a, out_b, out_d = [], [], []
@@ -564,13 +546,9 @@ def simhash_pairs(ds, max_hamming: int = 3):
         return agg_by_name(group, ["doc_a", "doc_b"],
                            [("hamming", "min", "hamming")])
 
-    pairs = exploded.repartition(nb).groupby("bucket").map_groups(
-        bucket_pairs, batch_format="pyarrow")
-    pairs = pairs.map_batches(lambda t: t.append_column(
-        "bucket", pc.cast(pc.bit_wise_and(t["doc_a"], nb - 1), pa.int32())),
-        batch_format="pyarrow")
-    return pairs.repartition(nb).groupby("bucket").map_groups(
-        pair_dedup, batch_format="pyarrow")
+    pairs = exchange(exploded, bucket_pairs, nb)
+    pairs = _int_bucketed(pairs, "doc_a", nb)
+    return exchange(pairs, pair_dedup, nb)
 
 
 # ------------------------------------------------- exact Jaccard verify
@@ -614,8 +592,6 @@ def jaccard_pairs(ds, *, threshold: float = 0.5, shingle_k: int = 3,
     rounded half-away to 6 dp for oracle parity.
     """
     import math
-
-    from .agg import auto_join
 
     def shingle_sign(batch: pa.Table) -> pa.Table:
         ids, hs_list, ns = [], [], []
@@ -721,16 +697,10 @@ def jaccard_pairs(ds, *, threshold: float = 0.5, shingle_k: int = 3,
     nb = resolve_buckets_pow2()
     sigs = ds.map_batches(shingle_sign, batch_format="pyarrow").materialize()
     pref = sigs.map_batches(prefix_rows, batch_format="pyarrow")
-    pref = pref.map_batches(lambda t: t.append_column(
-        "bucket", pc.cast(pc.bit_wise_and(t["token"], nb - 1), pa.int32())),
-        batch_format="pyarrow")
-    cand = pref.repartition(nb).groupby("bucket").map_groups(
-        bucket_pairs, batch_format="pyarrow")
-    cand = cand.map_batches(lambda t: t.append_column(
-        "bucket", pc.cast(pc.bit_wise_and(t["doc_a"], nb - 1), pa.int32())),
-        batch_format="pyarrow")
-    cand = cand.repartition(nb).groupby("bucket").map_groups(
-        pair_dedup, batch_format="pyarrow")
+    pref = _int_bucketed(pref, "token", nb)
+    cand = exchange(pref, bucket_pairs, nb)
+    cand = _int_bucketed(cand, "doc_a", nb)
+    cand = exchange(cand, pair_dedup, nb)
     cand = auto_join(cand, sigs, on="doc_a", right_on="__a",
                      right_rename={"doc_id": "__a", "hs": "__ha"})
     cand = auto_join(cand, sigs, on="doc_b", right_on="__b",

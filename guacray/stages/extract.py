@@ -18,6 +18,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..functions.text import extract_raw_triples
+from .agg import grouped_agg
 
 
 def extract_batch(batch: pa.Table) -> pa.Table:
@@ -67,30 +68,13 @@ def identifier_strings(triples_ds, num_buckets: int | None = None):
 
     Output: surface, n_mentions.
     """
-    import pyarrow.compute as pc
-
-    from .canonicalize import resolve_buckets
-    num_buckets = resolve_buckets(num_buckets)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.concat_tables([
+    def stack(batch: pa.Table) -> pa.Table:
+        return pa.concat_tables([
             pa.table({"surface": batch["subj_surface"]}),
             pa.table({"surface": batch["obj_surface"]}),
         ])
-        from .agg import agg_by_name
-        from .canonicalize import _bucket_of
-        agg = agg_by_name(t, ["surface"], [("surface", "count", "n_mentions")])
-        return agg.append_column(
-            "bucket", _bucket_of(agg["surface"], num_buckets))
 
-    def merge(group: pa.Table) -> pa.Table:
-        from .agg import agg_by_name
-        agg = agg_by_name(group, ["surface"],
-                          [("n_mentions", "sum", "n_mentions")])
-        return agg.set_column(1, "n_mentions",
-                              pc.cast(agg["n_mentions"], pa.int64()))
-
-    return triples_ds.map_batches(partial, batch_format="pyarrow",
-                                  batch_size=None) \
-        .repartition(num_buckets).groupby("bucket") \
-        .map_groups(merge, batch_format="pyarrow")
+    return grouped_agg(
+        triples_ds.map_batches(stack, batch_format="pyarrow",
+                               batch_size=None),
+        ["surface"], [("surface", "count", "n_mentions")], num_buckets)

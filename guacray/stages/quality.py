@@ -20,7 +20,6 @@ import re
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import bucket_of_hexid
 from ..functions.rounding import round_half_away
 
 # ------------------------------------------------------------ tokens
@@ -218,29 +217,18 @@ def norm_fingerprint(ds):
     Output: fp, doc_id (min), n_docs.  SQL-checkable."""
     import hashlib
 
-    from .agg import agg_by_name
-    from .canonicalize import resolve_buckets
+    from .agg import grouped_agg
     ws = re.compile(r"\s+")
-    nb = resolve_buckets(None)
 
     def fn(batch: pa.Table) -> pa.Table:
         fps = [hashlib.md5(ws.sub(" ", t.lower()).encode()).hexdigest()
                for t in batch["text"].to_pylist()]
-        t = pa.table({"fp": pa.array(fps, type=pa.string()),
-                      "doc_id": batch["doc_id"]})
-        agg = agg_by_name(t, ["fp"], [("doc_id", "min", "doc_id"),
-                                      ("fp", "count", "n_docs")])
-        return agg.append_column("bucket", bucket_of_hexid(agg["fp"], nb))
+        return pa.table({"fp": pa.array(fps, type=pa.string()),
+                         "doc_id": batch["doc_id"]})
 
-    def merge(group: pa.Table) -> pa.Table:
-        agg = agg_by_name(group, ["fp"], [("doc_id", "min", "doc_id"),
-                                          ("n_docs", "sum", "n_docs")])
-        return agg.set_column(agg.schema.get_field_index("n_docs"), "n_docs",
-                              pc.cast(agg["n_docs"], pa.int64()))
-
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None) \
-             .repartition(nb) \
-             .groupby("bucket").map_groups(merge, batch_format="pyarrow")
+    return grouped_agg(
+        ds.map_batches(fn, batch_format="pyarrow", batch_size=None),
+        ["fp"], [("doc_id", "min", "doc_id"), ("fp", "count", "n_docs")])
 
 
 def tfidf_topk(ds, *, k: int = 5):

@@ -409,3 +409,42 @@ def test_compact_store_crash_recovery(tmp_path):
     # an unknown table name fails before any work
     with pytest.raises(ValueError, match="unknown tables.*triples"):
         compact_store(store, tables=("nodes", "triples"))
+
+
+def test_compact_store_refuses_missing_outputs(tmp_path, monkeypatch):
+    """A compaction task that returns without writing its file (e.g. it
+    ran on another node) must fail the pass before the swap: the live
+    table's files stay exactly as they were."""
+    import ray
+
+    from guacray.pipelines import increment
+
+    p = _split_pages(tmp_path)
+    store = str(tmp_path / "store")
+    init_incremental(p["a"], store, num_buckets=32)
+    # give one bucket two files so the pass has a bucket to compact
+    nd = os.path.join(store, "nodes")
+    f0 = max((os.path.join(nd, b, f) for b in sorted(os.listdir(nd))
+              if b.startswith("bucket=")
+              for f in os.listdir(os.path.join(nd, b))),
+             key=lambda f: pq.ParquetFile(f).metadata.num_rows)
+    t = pq.read_table(f0)
+    assert len(t) >= 2, "fixture bucket too small to split"
+    pq.write_table(t.slice(0, 1), f0 + ".half1.parquet")
+    pq.write_table(t.slice(1), f0 + ".half2.parquet")
+    os.remove(f0)
+
+    def layout():  # the live tables only (a failed pass leaves a tmp dir)
+        return sorted((root, f, os.stat(os.path.join(root, f)).st_ino)
+                      for t in ("nodes", "edges")
+                      for root, _, fs in os.walk(os.path.join(store, t))
+                      for f in fs)
+    before = layout()
+
+    @ray.remote
+    def lost_write(files, dst, sort_col):
+        return None
+    monkeypatch.setattr(increment, "_compact_bucket", lost_write)
+    with pytest.raises(RuntimeError, match="missing"):
+        increment.compact_store(store)
+    assert layout() == before

@@ -992,3 +992,19 @@ def test_tfidf_topk_hand_corpus():
     # fox: 1*ln(3) ~ 1.099 beats dog: 2*ln(1.5) ~ 0.811
     assert rk[(1, "fox")] == 1 and rk[(1, "dog")] == 2
     assert rk[(2, "cat")] == 1
+
+
+def test_single_bucket_exchange_implementation():
+    """``agg.exchange`` is the one place a Dataset is coalesced with
+    ``repartition`` and shuffled by ``groupby("bucket")``; a hand-written
+    copy elsewhere would dodge its bucket-count and skew fixes."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1] / "guacray"
+    chained = re.compile(
+        r"\.repartition\([^()]*\)[\s\\]*\.groupby\(\s*[\"']bucket[\"']")
+    offenders = [str(p.relative_to(root)) for p in sorted(root.rglob("*.py"))
+                 if p.relative_to(root).as_posix() != "stages/agg.py"
+                 and chained.search(p.read_text())]
+    assert not offenders, offenders

@@ -231,3 +231,98 @@ def test_bulk_ingest_knobs_dispatch(small_pages_path):
     assert lc is None
     _, lc = bulk_ingest_knobs(small_pages_path, heavy_pages_per_cpu=0)
     assert lc is not None and lc[0] >= lc[1] // 2 and lc[1] >= lc[0]
+
+
+def _sorted_frame(ds) -> pd.DataFrame:
+    df = ds.to_pandas()
+    cols = sorted(df.columns)
+    return df[cols].sort_values(cols).reset_index(drop=True)
+
+
+def test_exchange_ops_bucket_count_invariance(tiny_pages):
+    """Every operator routed through ``agg.exchange`` gives the same
+    sorted frame at 1 and 7 buckets (row order may differ; content
+    must not)."""
+    from guacray.stages.agg import grouped_agg
+    from guacray.stages.canonicalize import document_summary
+    from guacray.stages.dedup import exact_dedup, span_dedup
+    from guacray.stages.extract import identifier_strings
+
+    tri = linked_triples(rd.from_arrow(tiny_pages)).materialize()
+    texts = tiny_pages["text"].to_pylist()
+    texts += texts[:16]  # exact duplicates across blocks
+    docs = rd.from_arrow([
+        pa.table({"doc_id": pa.array(range(i, min(i + 20, len(texts))),
+                                     type=pa.int64()),
+                  "text": pa.array(texts[i:i + 20], type=pa.string())})
+        for i in range(0, len(texts), 20)])
+    ops = {
+        "identifier_strings": lambda nb: identifier_strings(tri, nb),
+        "exact_dedup": lambda nb: exact_dedup(docs, num_buckets=nb),
+        "span_dedup": lambda nb: span_dedup(docs, w=3, num_buckets=nb),
+        "document_summary": lambda nb: document_summary(tri, nb),
+        "grouped_agg": lambda nb: grouped_agg(
+            tri, ["predicate", "subj_type"],
+            [("warc_ts", "min", "first"), ("warc_ts", "max", "last"),
+             ("subj_key", "count", "n")], nb),
+    }
+    for name, op in ops.items():
+        one = _sorted_frame(op(1))
+        assert len(one), name
+        pd.testing.assert_frame_equal(one, _sorted_frame(op(7)),
+                                      obj=name)
+
+
+def test_commit_dir_survives_crash_at_each_rename(tmp_path, monkeypatch):
+    """Fault injection on ``_commit_dir``: a commit killed at any
+    rename, then a second commit killed at any rename, never loses the
+    table — the live dir (or the ``.__old__`` copy the next commit
+    rolls back first) holds the old rows or the new ones, and a clean
+    third commit publishes its rows."""
+    import os
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from guacray.pipelines.kg import _commit_dir
+
+    real_replace = os.replace
+
+    def rows(out):
+        for d in (out, out + ".__old__"):
+            if os.path.isdir(d):
+                return pq.read_table(d)["v"].to_pylist()
+        return []
+
+    def commit(out, v, fail_at):
+        tmp = out + ".__tmp__"
+        shutil.rmtree(tmp, ignore_errors=True)
+        os.makedirs(tmp)
+        pq.write_table(pa.table({"v": [v]}), os.path.join(tmp, "p.parquet"))
+        calls = []
+
+        def flaky(src, dst):
+            calls.append(src)
+            if len(calls) == fail_at:
+                raise OSError("injected crash")
+            real_replace(src, dst)
+        monkeypatch.setattr(os, "replace", flaky)
+        try:
+            _commit_dir(tmp, out)
+        except OSError:
+            pass
+        finally:
+            monkeypatch.setattr(os, "replace", real_replace)
+
+    for first in (1, 2):
+        for second in (1, 2, 3):
+            out = str(tmp_path / f"t{first}{second}")
+            commit(out, 1, fail_at=0)
+            assert rows(out) == [1]
+            commit(out, 2, fail_at=first)
+            assert rows(out) in ([1], [2]), (first, second)
+            commit(out, 3, fail_at=second)
+            assert rows(out) in ([1], [2], [3]), (first, second)
+            commit(out, 4, fail_at=0)
+            assert pq.read_table(out)["v"].to_pylist() == [4]
+            assert not os.path.exists(out + ".__old__")
