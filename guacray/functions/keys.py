@@ -151,8 +151,9 @@ def link_surface(surface: str,
 
 def linked_key(surface: str, etype: str, canonical: str) -> str:
     """Node key for a resolved (surface, etype, canonical) — the one
-    place the version-qualifier rule lives, shared by the actor-pool
-    linker, the join-path linker, and the reference oracle."""
+    place the version-qualifier rule lives, reached through
+    ``link_surface`` by the actor-pool linker and the reference
+    oracle alike."""
     quals = None
     if etype == "product":
         from .text import VERSION_RE

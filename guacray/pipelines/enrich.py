@@ -335,15 +335,9 @@ def run_enrichment(out_dir: str, *, certifier: str = "category",
     if os.path.exists(ledger_path):
         # incremental store: reuse the touched-bucket delta merge —
         # untouched bucket partitions are hardlinked, never read
-        from ..pipelines.increment import (_read_ledger, _with_bucket,
+        from ..pipelines.increment import (_checked_ledger, _with_bucket,
                                            merge_delta_tables)
-        from ..functions.hashing import BUCKET_HASH_ID
-        ledger = _read_ledger(os.path.join(out_dir, "edges"))
-        if ledger.get("bucket_hash") != BUCKET_HASH_ID:
-            raise RuntimeError(
-                f"store at {out_dir} bucket-stamped with "
-                f"{ledger.get('bucket_hash')!r}; this build uses "
-                f"{BUCKET_HASH_ID!r} — rebuild with init_incremental")
+        ledger = _checked_ledger(os.path.join(out_dir, "edges"))
         nb = ledger["num_buckets"]
         d_nodes = new_nodes.map_batches(_with_bucket("node_id", nb),
                                         batch_format="pyarrow")

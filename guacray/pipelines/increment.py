@@ -84,6 +84,22 @@ def _read_ledger(table_dir: str) -> dict:
         return json.load(f)
 
 
+def _checked_ledger(table_dir: str) -> dict:
+    """``table_dir``'s ledger, refusing a store stamped with another
+    persistent bucket function: merging into or deleting from it would
+    route ids to different buckets than the live rows (silent duplicates
+    or missed rows)."""
+    ledger = _read_ledger(table_dir)
+    stamped = ledger.get("bucket_hash")
+    if stamped != BUCKET_HASH_ID:
+        raise RuntimeError(
+            f"incremental table at {table_dir} was bucket-stamped with "
+            f"{stamped!r}, this build uses {BUCKET_HASH_ID!r} — refusing "
+            "to write with a different bucket function; rebuild the "
+            "store with init_incremental")
+    return ledger
+
+
 def _increment_id(files: list[str]) -> str:
     """Content-address an increment by its sorted input-file list —
     replaying the same submission is a no-op, not a double-count."""
@@ -262,15 +278,7 @@ def ingest_increment(pages_path, out_dir: str, *,
 
     edges_dir = os.path.join(out_dir, "edges")
     nodes_dir = os.path.join(out_dir, "nodes")
-    ledger = _read_ledger(edges_dir)  # edges ledger = commit marker
-    stamped = ledger.get("bucket_hash")
-    if stamped != BUCKET_HASH_ID:
-        raise RuntimeError(
-            f"incremental store at {out_dir} was bucket-stamped with "
-            f"{stamped!r}, this build uses {BUCKET_HASH_ID!r} — refusing "
-            "to ingest (merging with a different bucket function would "
-            "silently duplicate ids across buckets); rebuild the store "
-            "with init_incremental")
+    ledger = _checked_ledger(edges_dir)  # edges ledger = commit marker
     nb, seed = ledger["num_buckets"], ledger["seed"]
     files = _input_files(pages_path)
     inc = _increment_id(files)
@@ -332,14 +340,7 @@ def delete_rows_bucketed(table_dir: str, id_col: str, ids: list[str],
     the same touched-bucket discipline as the increment merge, applied
     to removal.  Returns the number of rows removed.  Atomic: the dir
     swap publishes the new version or leaves the live one intact."""
-    ledger = _read_ledger(table_dir)
-    stamped = ledger.get("bucket_hash")
-    if stamped != BUCKET_HASH_ID:
-        raise RuntimeError(
-            f"incremental table at {table_dir} was bucket-stamped with "
-            f"{stamped!r}, this build uses {BUCKET_HASH_ID!r} — refusing "
-            "to delete (targeting buckets with a different bucket "
-            "function would miss the rows); rebuild the store")
+    ledger = _checked_ledger(table_dir)
     # ids that are not >=8 chars of lowercase hex cannot exist in an
     # incremental table (every stored row was bucket-stamped through
     # bucket_of_hexid at ingest, which REJECTS such ids) — treat them

@@ -28,8 +28,8 @@ import ray
 import ray.data as rd
 
 from ..functions.rounding import pc_round
-from ..stages.agg import (agg_by_name, auto_join, grouped_agg,
-                          resolve_buckets, resolve_buckets_pow2, semi_join,
+from ..stages.agg import (agg_by_name, auto_join, bucket_of, bucketed,
+                          grouped_agg, resolve_buckets, semi_join,
                           semi_join_filter, topk)
 from ..stages.ann import brute_force_topk, lsh_topk, make_query_vector
 from ..stages.dedup import (exact_dedup, jaccard_pairs, minhash_lsh_pairs,
@@ -408,13 +408,9 @@ def events_sessions(sf_dir: str, gap_minutes: int = 30, num_buckets: int | None 
     sessionization over (user, ts)-sorted rows (ray_guide.md pattern).
     One Python call per *bucket*, not per user.
     """
-    num_buckets = resolve_buckets_pow2(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["user_id", "ts", "event_id"])
-    ds = ds.map_batches(
-        lambda t: t.append_column("bucket", pc.cast(
-            pc.bit_wise_and(t["user_id"], num_buckets - 1), pa.int32())),
-        batch_format="pyarrow")
+    ds = bucketed(ds, ["user_id"], resolve_buckets(num_buckets))
 
     gap = pd.Timedelta(minutes=gap_minutes)
 
@@ -438,13 +434,9 @@ def top_order_per_customer(sf_dir: str, num_buckets: int | None = None):
     """Per-group top-1 (window rank): each customer's highest-value
     order.  The row_number()-over-partition pattern: hash-bucket by
     key, vectorized idxmax within each bucket."""
-    num_buckets = resolve_buckets_pow2(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "orders"),
                          columns=["o_custkey", "o_orderkey", "o_totalprice"])
-    ds = ds.map_batches(
-        lambda t: t.append_column("bucket", pc.cast(
-            pc.bit_wise_and(t["o_custkey"], num_buckets - 1), pa.int32())),
-        batch_format="pyarrow")
+    ds = bucketed(ds, ["o_custkey"], resolve_buckets(num_buckets))
 
     def top1(df: pd.DataFrame) -> pd.DataFrame:
         # deterministic tie-break: highest price, then lowest orderkey
@@ -462,13 +454,9 @@ def orders_rank_window(sf_dir: str, num_buckets: int | None = None):
     DESC, o_orderkey), partitioned by customer.  Same distributed shape
     as the other windows: hash-bucket by key, vectorized pandas ranks
     per bucket (one Python call per bucket, never per group)."""
-    num_buckets = resolve_buckets_pow2(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "orders"),
                          columns=["o_custkey", "o_orderkey", "o_totalprice"])
-    ds = ds.map_batches(
-        lambda t: t.append_column("bucket", pc.cast(
-            pc.bit_wise_and(t["o_custkey"], num_buckets - 1), pa.int32())),
-        batch_format="pyarrow")
+    ds = bucketed(ds, ["o_custkey"], resolve_buckets(num_buckets))
 
     def ranks(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["o_custkey", "o_totalprice", "o_orderkey"],
@@ -497,13 +485,9 @@ def events_gap_us(sf_dir: str, num_buckets: int | None = None):
     """Lag window: microseconds since the user's previous event (-1 for
     the first).  The per-key ordered-window pattern: hash-bucket by
     user, vectorized pandas diff within each bucket."""
-    num_buckets = resolve_buckets_pow2(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts"])
-    ds = ds.map_batches(
-        lambda t: t.append_column("bucket", pc.cast(
-            pc.bit_wise_and(t["user_id"], num_buckets - 1), pa.int32())),
-        batch_format="pyarrow")
+    ds = bucketed(ds, ["user_id"], resolve_buckets(num_buckets))
 
     def lag_fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"])
@@ -551,13 +535,9 @@ def events_sliding_avg(sf_dir: str, window_s: int = 3600,
     operator; the expression is hash-bucket by key + per-bucket
     vectorized pandas time-rolling over (user, ts)-sorted rows —
     equivalent to SQL `RANGE INTERVAL 1 HOUR PRECEDING`."""
-    num_buckets = resolve_buckets_pow2(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts", "value"])
-    ds = ds.map_batches(
-        lambda t: t.append_column("bucket", pc.cast(
-            pc.bit_wise_and(t["user_id"], num_buckets - 1), pa.int32())),
-        batch_format="pyarrow")
+    ds = bucketed(ds, ["user_id"], resolve_buckets(num_buckets))
 
     def roll(df: pd.DataFrame) -> pd.DataFrame:
         from ..functions.rounding import np_round_half_away
@@ -612,13 +592,9 @@ def events_running_total(sf_dir: str, num_buckets: int | None = None):
     total of `value` in (ts, event_id) order — the remaining classic
     window frame next to lag/sliding/session/rank.  Same expression
     pattern: hash-bucket by user, vectorized pandas cumsum per bucket."""
-    num_buckets = resolve_buckets_pow2(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts", "value"])
-    ds = ds.map_batches(
-        lambda t: t.append_column("bucket", pc.cast(
-            pc.bit_wise_and(t["user_id"], num_buckets - 1), pa.int32())),
-        batch_format="pyarrow")
+    ds = bucketed(ds, ["user_id"], resolve_buckets(num_buckets))
 
     def run_tot(df: pd.DataFrame) -> pd.DataFrame:
         from ..functions.rounding import round_half_away
@@ -633,14 +609,10 @@ def events_running_total(sf_dir: str, num_buckets: int | None = None):
 def events_first_type(sf_dir: str, num_buckets: int | None = None):
     """first_value window: each user's first event_type in (ts,
     event_id) order — one row per user."""
-    num_buckets = resolve_buckets_pow2(num_buckets)
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts",
                                   "event_type"])
-    ds = ds.map_batches(
-        lambda t: t.append_column("bucket", pc.cast(
-            pc.bit_wise_and(t["user_id"], num_buckets - 1), pa.int32())),
-        batch_format="pyarrow")
+    ds = bucketed(ds, ["user_id"], resolve_buckets(num_buckets))
 
     def first(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"])
@@ -1023,9 +995,8 @@ def doc_stratified_sample(sf_dir: str, per_group: int = 20, seed: int = 7,
         keys = [hashlib.md5(f"{seed}|{d}".encode()).hexdigest()
                 for d in t["doc_id"].to_pylist()]
         t = t.append_column("rk", pa.array(keys, type=pa.string()))
-        b = [int(hashlib.md5(l.encode()).hexdigest()[:4], 16) % num_buckets
-             for l in t["lang"].to_pylist()]
-        return t.append_column("bucket", pa.array(b, type=pa.int32()))
+        return t.append_column("bucket",
+                               bucket_of(t, ["lang"], num_buckets))
 
     ds = ds.map_batches(rank_key, batch_format="pyarrow")
 

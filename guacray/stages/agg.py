@@ -40,31 +40,37 @@ def resolve_buckets(num_buckets: int | None) -> int:
     return max(DEFAULT_BUCKETS, int(ray.cluster_resources().get("CPU", 16)))
 
 
-def resolve_buckets_pow2(num_buckets: int | None = None) -> int:
-    """``resolve_buckets`` rounded up to a power of two, for stages that
-    derive the bucket with ``pc.bit_wise_and(key, nb - 1)`` (cheapest
-    vectorized modulo for int keys).  Same scaling property: grows with
-    the cluster instead of capping reduce parallelism at a literal."""
-    b = resolve_buckets(num_buckets)
-    return 1 << (b - 1).bit_length()
-
-
 def bucket_of(t: pa.Table, keys: list[str], num_buckets: int) -> pa.Array:
     """Transient exchange bucket of each row's key tuple.
 
-    Hashes the string-joined key tuple vectorized (pandas siphash with
-    a fixed key — stable across runs and processes), not one hashlib
-    call per row: this runs in the combiner hot path of every exchange.
-    Only for in-flight shuffles; the persistent store layout uses
+    Hashes vectorized (pandas ``hash_array``: fixed-key siphash for
+    strings, a fixed integer mix for int64 — stable across runs and
+    processes), not one hashlib call per row: this runs in the combiner
+    hot path of every exchange.  A single integer key hashes natively
+    as int64, so equal values share a bucket across int widths (a
+    two-sided co-group may key int32 against int64); any other key
+    tuple hashes its string-joined form.  Only for in-flight shuffles;
+    the persistent store layout uses
     ``functions.hashing.bucket_of_hexid``."""
     import numpy as np
     import pandas as pd
-    parts = [pc.cast(t[k], pa.string()) for k in keys]
-    joined = parts[0]
-    for p in parts[1:]:
-        joined = pc.binary_join_element_wise(joined, p, "\x1f")
-    h = pd.util.hash_array(joined.to_numpy(zero_copy_only=False))
+    if len(keys) == 1 and pa.types.is_integer(t.schema.field(keys[0]).type):
+        vals = pc.fill_null(pc.cast(t[keys[0]], pa.int64()), 0).to_numpy()
+    else:
+        parts = [pc.cast(t[k], pa.string()) for k in keys]
+        joined = parts[0]
+        for p in parts[1:]:
+            joined = pc.binary_join_element_wise(joined, p, "\x1f")
+        vals = joined.to_numpy(zero_copy_only=False)
+    h = pd.util.hash_array(vals)
     return pa.array((h % num_buckets).astype(np.int32), type=pa.int32())
+
+
+def bucketed(ds, keys: list[str], num_buckets: int):
+    """``ds`` with each row's ``bucket_of`` column appended — the row
+    stamp for bucket groupings whose input is not a combiner's."""
+    return ds.map_batches(lambda t: t.append_column(
+        "bucket", bucket_of(t, keys, num_buckets)), batch_format="pyarrow")
 
 
 def exchange(partials, merge_fn, num_buckets: int):
@@ -315,7 +321,7 @@ def asof_join(left, right, *, by_left: str, by_right: str,
     import numpy as np
     import pandas as pd
 
-    num_buckets = resolve_buckets_pow2(num_buckets)
+    num_buckets = resolve_buckets(num_buckets)
 
     # unified schema for the co-grouping union: each side null-pads the
     # other's columns (Ray union requires identical schemas)
@@ -337,9 +343,8 @@ def asof_join(left, right, *, by_left: str, by_right: str,
             t = t.select([n for n, _ in all_fields])
             t = t.append_column("__side", pa.array([side] * t.num_rows,
                                                    type=pa.int8()))
-            b = pc.cast(pc.bit_wise_and(t[by_col], num_buckets - 1),
-                        pa.int32())
-            return t.append_column("bucket", b)
+            return t.append_column("bucket",
+                                   bucket_of(t, [by_col], num_buckets))
         return fn
 
     l = left.map_batches(prep(0, by_left), batch_format="pyarrow")

@@ -17,7 +17,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.rounding import np_round_half_away
-from .agg import exchange, resolve_buckets, resolve_buckets_pow2
+from .agg import bucketed, exchange, resolve_buckets
 
 
 def make_query_vector(dim: int = 64, seed: int = 7) -> np.ndarray:
@@ -210,15 +210,10 @@ def embedding_near_dups(ds, *, threshold: float = 0.95, n_planes: int = 10,
     sign); raise recall by multi-probe or repeated plantings (seed
     list), same shape.
     """
-    import pyarrow.compute as pc
-
     _h = HyperplaneLSH(dim=64, n_planes=n_planes, seed=seed)
-    nb = resolve_buckets_pow2()
-    hashed = ds.map_batches(_h, batch_format="pyarrow")
-    hashed = hashed.map_batches(
-        lambda t: t.append_column("bucket", pc.cast(
-            pc.bit_wise_and(t["lsh_bucket"], nb - 1), pa.int32())),
-        batch_format="pyarrow")
+    nb = resolve_buckets(None)
+    hashed = bucketed(ds.map_batches(_h, batch_format="pyarrow"),
+                      ["lsh_bucket"], nb)
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
         df = group.to_pandas()

@@ -7,9 +7,13 @@ backend's content-hash edge upsert
 behind one global server lock; here it is the pipeline's one keyed
 shuffle, expressed as a two-phase aggregation:
 
-  phase 1 (combiner, inside ``map_batches``): per-block vectorized
-    dedup/partial-aggregate with ``pyarrow.TableGroupBy`` — each block
-    emits ≤1 row per key.  This is the skew defence: a head entity
+  phase 1 (combiner, inside ``map_batches``): each triple becomes
+    kind-tagged exchange rows (two node rows, one edge row) that the
+    reduce step itself (``_combined_merge``: one vectorized
+    ``pyarrow.TableGroupBy``) collapses per block, so each block emits
+    ≤1 row per (kind, key).  The combiner IS the merge, applied early —
+    valid because the merge is algebraic (min-carry attributes, summed
+    counts).  This is the skew defence: a head entity
     appearing in 10% of all pages still contributes at most one row per
     block to the shuffle, so no reducer sees the raw hot-key volume.
   phase 2 (``agg.exchange``): an explicit hash-bucket column
@@ -102,70 +106,12 @@ def add_ids_batch(batch: pa.Table) -> pa.Table:
     # so "A partnered with B" and "B partnered with A" get ONE edge_id
     # (assembler.go:84 equal-edge semantics).  The triple row keeps
     # statement order (provenance); the edges-table combiner
-    # (_edge_partial_batch) normalizes the stored orientation.
+    # (_combined_partial) normalizes the stored orientation.
     eids = edge_ids_memo(subj_ids, preds, obj_ids, props)
     batch = batch.append_column("subj_id", pa.array(subj_ids, type=pa.string()))
     batch = batch.append_column("obj_id", pa.array(obj_ids, type=pa.string()))
     batch = batch.append_column("edge_id", pa.array(eids, type=pa.string()))
     return batch
-
-
-def _node_rows_batch(batch: pa.Table, num_buckets: int) -> pa.Table:
-    """Combiner: one batch of linked+id'd triples → unique node rows."""
-    sides = []
-    for side in ("subj", "obj"):
-        sides.append(pa.table({
-            "node_id": batch[f"{side}_id"],
-            "node_key": batch[f"{side}_key"],
-            "node_type": batch[f"{side}_type"],
-            "name": batch[f"{side}_name"],
-        }))
-    t = pa.concat_tables(sides)
-    agg = agg_by_name(t, ["node_id"], [
-        ("node_key", "min", "node_key"), ("node_type", "min", "node_type"),
-        ("name", "min", "name")])
-    # qualifiers: pure projection of the key (no first-wins ordering
-    # needed) — the pkg-trie qualifier column of helpers/package.go:26-99
-    agg = agg.append_column("qualifiers", pa.array(
-        [node_qualifiers(k) for k in agg["node_key"].to_pylist()],
-        type=pa.string()))
-    return agg.append_column("bucket",
-                             bucket_of(agg, ["node_id"], num_buckets))
-
-
-def _edge_partial_batch(batch: pa.Table, num_buckets: int) -> pa.Table:
-    """Combiner: partial edge aggregate (count evidence, min first_seen)."""
-    from ..functions.text import SYMMETRIC_PREDICATES
-    props = (batch["props"] if "props" in batch.column_names
-             else pa.array([""] * batch.num_rows, type=pa.string()))
-    # store undirected edges in canonical (min id first) orientation —
-    # vectorized swap; MUST happen before the group_by, otherwise the
-    # per-column "min" could pair a subj from one orientation with an
-    # obj from the other
-    sym = pa.array(sorted(SYMMETRIC_PREDICATES))
-    swap = pc.and_(pc.is_in(batch["predicate"], value_set=sym),
-                   pc.less(batch["obj_id"], batch["subj_id"]))
-    s_col = pc.if_else(swap, batch["obj_id"], batch["subj_id"])
-    o_col = pc.if_else(swap, batch["subj_id"], batch["obj_id"])
-    t = pa.table({
-        "edge_id": batch["edge_id"],
-        "subj_id": s_col,
-        "predicate": batch["predicate"],
-        "obj_id": o_col,
-        "props": props,
-        "warc_ts": batch["warc_ts"],
-    })
-    # props is constant within an edge_id group (it is hashed into the
-    # id), so "min" is a carry, not a choice
-    agg = agg_by_name(t, ["edge_id"], [
-        ("subj_id", "min", "subj_id"), ("predicate", "min", "predicate"),
-        ("obj_id", "min", "obj_id"), ("props", "min", "props"),
-        ("warc_ts", "min", "first_seen"),
-        ("edge_id", "count", "n_evidence")])
-    agg = agg.set_column(agg.schema.get_field_index("n_evidence"),
-                         "n_evidence", pc.cast(agg["n_evidence"], pa.int64()))
-    return agg.append_column("bucket",
-                             bucket_of(agg, ["edge_id"], num_buckets))
 
 
 def with_undirected(t: pa.Table) -> pa.Table:
@@ -187,28 +133,46 @@ def with_undirected(t: pa.Table) -> pa.Table:
 # keyspace.
 
 def _combined_partial(batch: pa.Table, num_buckets: int) -> pa.Table:
-    n = _node_rows_batch(batch, num_buckets)
-    e = _edge_partial_batch(batch, num_buckets)
-    ts_type = e.schema.field("first_seen").type
-    nt = pa.table({
-        "kind": pa.array([0] * n.num_rows, type=pa.int8()),
-        "key": n["node_id"],
-        "a": n["node_key"], "b": n["node_type"], "c": n["name"],
-        "d": n["qualifiers"],
-        "ts": pa.nulls(n.num_rows, type=ts_type),
-        "n": pa.nulls(n.num_rows, type=pa.int64()),
-        "bucket": n["bucket"],
+    """Combiner: tag each triple's statement rows straight into the
+    exchange schema — one node row per side, one edge row — and reduce
+    them with the exchange's own merge, so a block emits ≤1 row per
+    (kind, key)."""
+    from ..functions.text import SYMMETRIC_PREDICATES
+    n = batch.num_rows
+    props = (batch["props"] if "props" in batch.column_names
+             else pa.array([""] * n, type=pa.string()))
+    ts_type = batch.schema.field("warc_ts").type
+
+    def kind(k: int) -> pa.Array:
+        return pa.repeat(pa.scalar(k, type=pa.int8()), n)
+
+    def node_rows(side: str) -> pa.Table:
+        return pa.table({
+            "kind": kind(0), "key": batch[f"{side}_id"],
+            "a": batch[f"{side}_key"], "b": batch[f"{side}_type"],
+            "c": batch[f"{side}_name"], "d": pa.nulls(n, type=pa.string()),
+            "ts": pa.nulls(n, type=ts_type), "n": pa.nulls(n, type=pa.int64()),
+        })
+
+    # store undirected edges in canonical (min id first) orientation —
+    # vectorized swap; MUST happen before the group_by, otherwise the
+    # per-column "min" could pair a subj from one orientation with an
+    # obj from the other.  props is constant within an edge_id group (it
+    # is hashed into the id), so its "min" is a carry, not a choice.
+    sym = pa.array(sorted(SYMMETRIC_PREDICATES))
+    swap = pc.and_(pc.is_in(batch["predicate"], value_set=sym),
+                   pc.less(batch["obj_id"], batch["subj_id"]))
+    edges = pa.table({
+        "kind": kind(1), "key": batch["edge_id"],
+        "a": pc.if_else(swap, batch["obj_id"], batch["subj_id"]),
+        "b": batch["predicate"],
+        "c": pc.if_else(swap, batch["subj_id"], batch["obj_id"]),
+        "d": props, "ts": batch["warc_ts"],
+        "n": pa.repeat(pa.scalar(1, type=pa.int64()), n),
     })
-    et = pa.table({
-        "kind": pa.array([1] * e.num_rows, type=pa.int8()),
-        "key": e["edge_id"],
-        "a": e["subj_id"], "b": e["predicate"], "c": e["obj_id"],
-        "d": e["props"],
-        "ts": e["first_seen"],
-        "n": pc.cast(e["n_evidence"], pa.int64()),
-        "bucket": e["bucket"],
-    })
-    return pa.concat_tables([nt, et])
+    t = _combined_merge(pa.concat_tables(
+        [node_rows("subj"), node_rows("obj"), edges]))
+    return t.append_column("bucket", bucket_of(t, ["key"], num_buckets))
 
 
 def _combined_merge(group: pa.Table) -> pa.Table:
@@ -235,9 +199,15 @@ def graph_tables(linked_ds, num_buckets: int | None = None):
 
     def to_nodes(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["kind"], pa.scalar(0, type=pa.int8())))
+        # qualifiers: a pure projection of the key (the pkg-trie
+        # qualifier column of helpers/package.go:26-99), so it is
+        # computed once per canonical node, after the exchange
         return pa.table({"node_id": t["key"], "node_key": t["a"],
                          "node_type": t["b"], "name": t["c"],
-                         "qualifiers": t["d"]})
+                         "qualifiers": pa.array(
+                             [node_qualifiers(k)
+                              for k in t["a"].to_pylist()],
+                             type=pa.string())})
 
     def to_edges(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["kind"], pa.scalar(1, type=pa.int8())))

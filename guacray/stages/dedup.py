@@ -23,16 +23,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .agg import (agg_by_name, auto_join, bucket_of, exchange, grouped_agg,
-                  resolve_buckets, resolve_buckets_pow2)
-
-
-def _int_bucketed(ds, col: str, nb: int):
-    """Stamp the exchange bucket ``col & (nb - 1)`` on an int64 key
-    column (``nb`` a power of two: the cheapest vectorized modulo)."""
-    return ds.map_batches(lambda t: t.append_column(
-        "bucket", pc.cast(pc.bit_wise_and(t[col], nb - 1), pa.int32())),
-        batch_format="pyarrow")
+from .agg import (agg_by_name, auto_join, bucket_of, bucketed, exchange,
+                  grouped_agg, resolve_buckets)
 
 
 # ---------------------------------------------------------------- exact
@@ -352,17 +344,17 @@ def minhash_lsh_pairs(ds, *, num_perm: int = 64, bands: int = 16,
                                           shingle_k=shingle_k)
         return h(batch)
 
-    nb = resolve_buckets_pow2()
+    nb = resolve_buckets(None)
     # signed feeds both the band explode and the verify join-back —
     # materialize so signing runs exactly once
     signed = ds.map_batches(sign, batch_format="pyarrow").materialize()
     banded = signed.map_batches(to_bands, batch_format="pyarrow")
     # coarse bucket on band_key so each map_groups call is vectorized;
-    # bucket count scales with the cluster (resolve_buckets_pow2), never
+    # bucket count scales with the cluster (resolve_buckets), never
     # a literal that caps reduce parallelism
-    banded = _int_bucketed(banded, "band_key", nb)
+    banded = bucketed(banded, ["band_key"], nb)
     cand = exchange(banded, bucket_candidates, nb)
-    cand = _int_bucketed(cand, "doc_a", nb)
+    cand = bucketed(cand, ["doc_a"], nb)
     pairs = exchange(cand, pair_dedup, nb)
 
     # verify: join each side's signature back onto the distinct pairs
@@ -517,8 +509,8 @@ def simhash_pairs(ds, max_hamming: int = 3):
         return pa.concat_tables(parts)
 
     exploded = signed.map_batches(band_rows, batch_format="pyarrow")
-    nb = resolve_buckets_pow2()
-    exploded = _int_bucketed(exploded, "band_key", nb)
+    nb = resolve_buckets(None)
+    exploded = bucketed(exploded, ["band_key"], nb)
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
         out_a, out_b, out_d = [], [], []
@@ -547,7 +539,7 @@ def simhash_pairs(ds, max_hamming: int = 3):
                            [("hamming", "min", "hamming")])
 
     pairs = exchange(exploded, bucket_pairs, nb)
-    pairs = _int_bucketed(pairs, "doc_a", nb)
+    pairs = bucketed(pairs, ["doc_a"], nb)
     return exchange(pairs, pair_dedup, nb)
 
 
@@ -694,12 +686,12 @@ def jaccard_pairs(ds, *, threshold: float = 0.5, shingle_k: int = 3,
             "jaccard": pa.array(js, type=pa.float64()),
         })
 
-    nb = resolve_buckets_pow2()
+    nb = resolve_buckets(None)
     sigs = ds.map_batches(shingle_sign, batch_format="pyarrow").materialize()
     pref = sigs.map_batches(prefix_rows, batch_format="pyarrow")
-    pref = _int_bucketed(pref, "token", nb)
+    pref = bucketed(pref, ["token"], nb)
     cand = exchange(pref, bucket_pairs, nb)
-    cand = _int_bucketed(cand, "doc_a", nb)
+    cand = bucketed(cand, ["doc_a"], nb)
     cand = exchange(cand, pair_dedup, nb)
     cand = auto_join(cand, sigs, on="doc_a", right_on="__a",
                      right_rename={"doc_id": "__a", "hs": "__ha"})

@@ -212,6 +212,18 @@ def test_bucket_hash_pinned_and_mismatch_refused(tmp_path):
     with pytest.raises(RuntimeError, match="bucket-stamped"):
         ingest_increment(p["b"], store)
 
+    # every other writer into the bucketed store refuses the same way,
+    # before it rewrites anything
+    from guacray.pipelines.enrich import run_enrichment
+    from guacray.query.graph import GraphStore
+    edges_before = read_graph_table(store, "edges").to_pandas()
+    with pytest.raises(RuntimeError, match="bucket-stamped"):
+        GraphStore(store).delete_edges(sorted(edges_before["edge_id"])[:2])
+    with pytest.raises(RuntimeError, match="bucket-stamped"):
+        run_enrichment(store, certifier="category", now=1000.0)
+    after = read_graph_table(store, "edges").to_pandas()
+    assert sorted(after["edge_id"]) == sorted(edges_before["edge_id"])
+
 
 def test_bucket_of_hexid_refuses_format_drift():
     """The persistent bucket function must fail loudly on ids that are

@@ -246,21 +246,59 @@ def test_hll_approx_distinct():
 
 def test_hot_key_combiner_collapses():
     """Skew defence: a block full of one hot edge contributes ONE
-    partial row to the shuffle (FIXTURES.md §3.7)."""
+    partial edge row (and one row per endpoint node) to the shuffle
+    (FIXTURES.md §3.7)."""
     import pyarrow as pa
-    from guacray.stages.canonicalize import _edge_partial_batch
+    import pyarrow.compute as pc
+    from guacray.stages.canonicalize import _combined_partial
     n = 10000
-    batch = pa.table({
-        "edge_id": pa.array(["ab12" * 8] * n),
-        "subj_id": pa.array(["s"] * n),
-        "predicate": pa.array(["works_at"] * n),
-        "obj_id": pa.array(["o"] * n),
-        "warc_ts": pa.array([1000 + (i % 7) for i in range(n)],
-                            type=pa.timestamp("us", tz="UTC")),
-    })
-    out = _edge_partial_batch(batch, 32)
-    assert out.num_rows == 1
-    assert out["n_evidence"][0].as_py() == n
+    cols = {"edge_id": ["ab12" * 8], "predicate": ["works_at"]}
+    for side, nid in (("subj", "s"), ("obj", "o")):
+        cols.update({f"{side}_id": [nid], f"{side}_key": [f"ent:org::{nid}"],
+                     f"{side}_type": ["org"], f"{side}_name": [nid]})
+    batch = pa.table({c: pa.array(v * n) for c, v in cols.items()}) \
+        .append_column("warc_ts", pa.array(
+            [1000 + (i % 7) for i in range(n)],
+            type=pa.timestamp("us", tz="UTC")))
+    out = _combined_partial(batch, 32)
+    edges = out.filter(pc.equal(out["kind"], 1))
+    assert out.num_rows == 3 and edges.num_rows == 1
+    assert edges["n"][0].as_py() == n
+
+
+def test_combiner_block_split_equals_whole():
+    """The combiner is the merge applied per block: merging the
+    partials of two blocks equals merging the partial of their
+    concatenation — with a symmetric edge stated in both orientations
+    across the split and a node on both sides of it."""
+    import pyarrow as pa
+    from guacray.stages.canonicalize import _combined_merge, _combined_partial
+    from guacray.stages.link import Linker
+
+    stmts = [("Acme Corp", "partnered_with", "Globex", ""),
+             ("Alice Smith", "works_at", "Acme Corp", ""),
+             ("Globex", "partnered_with", "Acme Corp", ""),
+             ("Bob Jones", "works_at", "Acme Corp", "role=cto"),
+             ("Alice Smith", "works_at", "Acme Corp", "")]
+    subj, pred, obj, props = (list(c) for c in zip(*stmts))
+    linked = Linker({"acme corp": ("org", "Acme Corp")})(pa.table({
+        "subj_surface": subj, "predicate": pred, "obj_surface": obj,
+        "props": props,
+        "warc_ts": pa.array([50, 40, 30, 20, 10],
+                            type=pa.timestamp("us", tz="UTC"))}))
+    order = [("kind", "ascending"), ("key", "ascending")]
+    whole = _combined_merge(_combined_partial(linked, 4)).sort_by(order)
+    split = _combined_merge(pa.concat_tables([
+        _combined_partial(linked.slice(0, 2), 4),
+        _combined_partial(linked.slice(2), 4)])).sort_by(order)
+    assert split.equals(whole)
+    rows = whole.to_pylist()
+    # one row per node / edge identity; the symmetric pair is one edge
+    # in min-id-first orientation with both statements' evidence
+    assert [r["kind"] for r in rows].count(0) == 4
+    sym = [r for r in rows if r["b"] == "partnered_with"]
+    assert len(sym) == 1 and sym[0]["n"] == 2 and sym[0]["a"] < sym[0]["c"]
+    assert sum(r["n"] for r in rows if r["kind"] == 1) == len(stmts)
 
 
 def test_two_hop_join(small_pages, tmp_path):
@@ -1008,3 +1046,9 @@ def test_single_bucket_exchange_implementation():
                  if p.relative_to(root).as_posix() != "stages/agg.py"
                  and chained.search(p.read_text())]
     assert not offenders, offenders
+    # ... and ``agg.bucket_of`` is the one transient bucket function:
+    # no hand-rolled bit-mask bucket stamps beside it
+    masks = [str(p.relative_to(root)) for p in sorted(root.rglob("*.py"))
+             if re.search(r"bit_wise_and\(|resolve_buckets_pow2",
+                          p.read_text())]
+    assert not masks, masks
