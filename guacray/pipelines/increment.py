@@ -54,12 +54,18 @@ import ray.data as rd
 
 from .. import schemas
 from ..functions.hashing import BUCKET_HASH_ID, bucket_of_hexid
-from ..stages.agg import agg_by_name, resolve_buckets
+from ..stages.agg import agg_by_name
 from ..stages.canonicalize import CANON_COLS, graph_tables, with_undirected
+from ..stages.link import link_pool
 from .kg import (_commit_dir, broadcast_alias_map, linked_triples,
                  read_parquet_fast, write_table)
 
 LEDGER = "_applied.json"
+# bucket count of a new store: pinned in its ledger for the store's
+# life (every increment, delete and compaction reuses it), so it is a
+# layout constant, not the transient exchange width ``resolve_buckets``
+# derives from whichever cluster happens to run ``init_incremental``
+STORE_BUCKETS = 32
 # bucketed store tables → the id column their buckets hash
 ID_COLS = {"nodes": "node_id", "edges": "edge_id"}
 
@@ -217,12 +223,14 @@ def table_counts(out_dir: str) -> dict:
 def init_incremental(pages_path, out_dir: str, *,
                      num_buckets: int | None = None, seed: int = 42,
                      link_concurrency=None) -> dict:
-    """Build the initial incrementally-maintainable store.  ``init``
-    means init: any existing store at ``out_dir`` is removed first
-    (otherwise stale live buckets would be hardlinked in next to the
-    fresh ones)."""
+    """Build the initial incrementally-maintainable store, with
+    ``num_buckets`` store buckets (default ``STORE_BUCKETS``) pinned in
+    its ledger.  ``init`` means init: any existing store at ``out_dir``
+    is removed first (otherwise stale live buckets would be hardlinked
+    in next to the fresh ones)."""
+    link_pool(link_concurrency)  # a pool that cannot progress fails here
     shutil.rmtree(out_dir, ignore_errors=True)
-    nb = resolve_buckets(num_buckets)
+    nb = STORE_BUCKETS if num_buckets is None else num_buckets
     files = _input_files(pages_path)
     inc = _increment_id(files)
     alias_ref = broadcast_alias_map(seed)
@@ -231,7 +239,9 @@ def init_incremental(pages_path, out_dir: str, *,
                                link_concurrency),
                 tri_dir, schemas.TRIPLES, min_rows_per_file=200_000)
     tri = read_parquet_fast(tri_dir, columns=CANON_COLS)
-    nodes, edges = graph_tables(tri, nb)
+    # the exchange is transient: cluster-wide, like the delta's below;
+    # only the _with_bucket stamp carries the store's bucket count
+    nodes, edges = graph_tables(tri)
     nodes = nodes.map_batches(_with_bucket("node_id", nb),
                               batch_format="pyarrow")
     edges = edges.map_batches(_with_bucket("edge_id", nb),

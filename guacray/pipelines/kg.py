@@ -27,7 +27,7 @@ import ray.data as rd
 
 from ..stages.canonicalize import CANON_COLS, graph_tables
 from ..stages.extract import extract
-from ..stages.link import link
+from ..stages.link import link, link_pool
 from ..stages.normalize import normalize
 from ..state.manifest import Manifest
 from .. import schemas
@@ -347,11 +347,14 @@ def run_kg(pages_path: str, out_dir: str, *, num_buckets: int | None = None,
 
     The evidence table is a projection view of the checkpoint
     (``evidence_view``) — no extra pass.  Returns row counts per table
-    (parquet footers, no extra Ray job).
+    (parquet footers, no extra Ray job).  A ``link_concurrency`` that
+    could never make progress at this width (``link_pool``) raises
+    ``ValueError`` before any work too.
     """
     if checkpoint_mode not in (None, "disk", "fused"):
         raise ValueError("checkpoint_mode must be None, 'disk' or "
                          f"'fused', got {checkpoint_mode!r}")
+    link_pool(link_concurrency)  # a pool that cannot progress fails here
     alias_ref = broadcast_alias_map(seed)
     pages, auto_lc = bulk_ingest_knobs(pages_path)
     triples = linked_triples(pages, alias_ref,

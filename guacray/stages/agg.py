@@ -13,7 +13,9 @@ partial/final split, and the skew defence SURVEY.md §4 calls for):
 
 ``exchange`` is the engine's ONE keyed wide op: canonicalization,
 dedup, near-dup pairing, ANN and ``grouped_agg`` all end in it, so
-bucket-count and shuffle changes land in one function.
+bucket-count and shuffle changes land in one function.  Its default
+width is one bucket per cluster CPU (``resolve_buckets``), the same
+rule that sizes the hash joins' partitions below.
 
 Supported ops: sum, count, min, max (count merges by sum).  Averages
 are computed by callers as sum/count after the merge — that keeps every
@@ -27,17 +29,22 @@ import pyarrow.compute as pc
 
 _MERGE_OP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
-DEFAULT_BUCKETS = 32
-
 
 def resolve_buckets(num_buckets: int | None) -> int:
-    """Shuffle parallelism: scales with the cluster (2×CPUs, min 32).
-    On a 256-node cluster this becomes thousands of buckets — the knob
-    that keeps reduce-side blocks bounded as data grows."""
+    """Shuffle parallelism: one bucket per cluster CPU, so every
+    transient exchange (and hash join) runs one reduce task per CPU.
+
+    No floor and no input-size term: reduce groups are canonical-size
+    (bounded by distinct keys, not by input rows), and each extra
+    bucket costs a whole task per exchange stage — a 32-bucket floor
+    at 2 CPUs measured ~1.9× the build CPU of 2 buckets (BASELINE.md
+    "size the exchange to the cluster").  Skew is the combiner's job
+    at any count.  Persistent layouts pin their own count
+    (``increment.STORE_BUCKETS``)."""
     if num_buckets is not None:
         return num_buckets
     import ray
-    return max(DEFAULT_BUCKETS, int(ray.cluster_resources().get("CPU", 16)))
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
 def bucket_of(t: pa.Table, keys: list[str], num_buckets: int) -> pa.Array:
@@ -229,8 +236,7 @@ def auto_join(left, right, *, on: str, right_on: str,
             return pa.table({new: t[old]
                              for old, new in right_rename.items()})
         right = right.map_batches(project, batch_format="pyarrow")
-    if num_partitions is None:
-        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
+    num_partitions = resolve_buckets(num_partitions)
     return left.join(right, "inner", num_partitions=num_partitions,
                      on=(on,), right_on=(right_on,))
 
@@ -254,22 +260,20 @@ def left_lookup_join(left, right, *, on: str, right_on: str,
     n_right = right.count()
     if n_right == 0:
         # an empty lookup side collects to a column-less DataFrame, so
-        # the merge path can't run; stamp the fallback directly (typed
-        # from the right schema when the empty execution preserved one)
+        # the merge path can't run; stamp the fallback directly, typed
+        # from the right schema when the empty execution preserved one.
+        # ``Schema.types`` converts a PandasBlockSchema's dtypes the way
+        # a non-empty pandas block converts (``pa.from_numpy_dtype``);
+        # an object dtype has no Arrow type and stays untyped
         sch = right.schema(fetch_if_missing=False)
-        # base_schema may be a PandasBlockSchema (no .field) when the
-        # empty right side came through a pandas-format map stage
-        vtype = (sch.base_schema.field(value_col).type
-                 if sch is not None and value_col in sch.names
-                 and isinstance(sch.base_schema, pa.Schema) else None)
+        vtype = (sch.types[sch.names.index(value_col)]
+                 if sch is not None and value_col in sch.names else None)
+        if not isinstance(vtype, pa.DataType):
+            vtype = None
 
         def stamp(t: pa.Table) -> pa.Table:
-            if default_from is not None:
-                val = t[default_from]
-            elif vtype is not None:
-                val = pa.nulls(len(t), vtype)
-            else:
-                val = pa.nulls(len(t))
+            val = (t[default_from] if default_from is not None
+                   else pa.nulls(len(t), vtype))
             return t.append_column(out, val)
         return left.map_batches(stamp, batch_format="pyarrow")
     if n_right <= broadcast_threshold:
@@ -291,8 +295,7 @@ def left_lookup_join(left, right, *, on: str, right_on: str,
     def project(t: pa.Table) -> pa.Table:
         return pa.table({"__lk_key": t[right_on], "__lk_val": t[value_col]})
     right = right.map_batches(project, batch_format="pyarrow")
-    if num_partitions is None:
-        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
+    num_partitions = resolve_buckets(num_partitions)
     joined = left.join(right, "left_outer", num_partitions=num_partitions,
                        on=(on,), right_on=("__lk_key",))
 
@@ -440,8 +443,7 @@ def semi_join(left, right, *, on: str, right_on: str | None = None,
     if n <= broadcast_threshold:
         vals = keys_ds.to_pandas()["__sj_key"].tolist()
         return semi_join_filter(left, vals, on, anti=anti)
-    if num_partitions is None:
-        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
+    num_partitions = resolve_buckets(num_partitions)
 
     # big right side: broadcast a Bloom filter of the key set (~1.2 MB /
     # million keys at 1% fp, vs the keys themselves) and pre-filter the

@@ -19,11 +19,13 @@ shuffle, expressed as a two-phase aggregation:
   phase 2 (``agg.exchange``): an explicit hash-bucket column
     (``agg.bucket_of``: pandas siphash of the key, mod B) + coalesce +
     ``groupby("bucket").map_groups`` — one vectorized merge per
-    bucket, B scaling with the cluster.  Using B coarse buckets instead
-    of per-key groups keeps the reduce side vectorized (pyarrow
+    bucket, B = one bucket per cluster CPU (``agg.resolve_buckets``),
+    so each exchange stage is one task per CPU.  Using B coarse buckets
+    instead of per-key groups keeps the reduce side vectorized (pyarrow
     group_by inside each bucket) rather than one Python call per key;
     coalescing combiner outputs first keeps the sort shuffle from
-    paying #blocks² transfers.
+    paying #blocks² transfers.  The persistent store's bucket count is
+    a separate, ledger-pinned number (``increment.STORE_BUCKETS``).
     ``graph_tables`` shares ONE exchange between the nodes and edges
     dedups (kind-tagged rows) — half the passes of running them apart.
 

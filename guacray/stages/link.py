@@ -60,10 +60,13 @@ class Linker:
 def default_pool_size() -> tuple[int, int]:
     """Autoscaling actor-pool bounds sized to the cluster.
 
-    (cpus/2, cpus-2): min = half the cluster (a min of 1 leaves most
-    CPUs idle during ramp), max leaves 2 CPUs of headroom so downstream
-    task operators always make progress (a pool == cluster size
-    deadlocks the streaming executor — round-1 measurement).
+    (max(1, cpus/2), max(2, cpus-2)): min = half the cluster (a min of
+    1 leaves most CPUs idle during ramp), max leaves 2 CPUs of headroom
+    from 4 CPUs up so downstream task operators always make progress (a
+    pool == cluster size deadlocks the streaming executor — round-1
+    measurement).  At 2 CPUs the max is the whole cluster, yet builds
+    there complete (perfbench runs at that width); at 1 CPU
+    ``link_pool`` makes the actors CPU-free.
 
     The round-4 saturated study found a HIGHER floor (3·cpus/4) wins
     on big inputs — with min=cpus/2 the pool never ramped past ~16
@@ -80,14 +83,39 @@ def default_pool_size() -> tuple[int, int]:
     return (max(1, cpus // 2), max(2, cpus - 2))
 
 
+def link_pool(concurrency=None) -> tuple:
+    """``(concurrency, num_cpus)`` of the link actor pool at this
+    cluster's width; raises ``ValueError`` for a pool that could never
+    make progress, so callers check it before any Ray work.
+
+    At width 1 the actors take no CPU slot: a 1-CPU actor (even a
+    0.5-CPU one) holds the only slot, the 1-CPU read task behind it
+    stays pending, and the build makes no progress and raises nothing.
+    At width ≥ 2 each actor takes one CPU, and a caller's pool whose
+    MINIMUM size takes every CPU is refused for the same reason (the
+    ``default_pool_size`` deadlock)."""
+    import ray
+    cpus = int(ray.cluster_resources().get("CPU", 4))
+    if concurrency is None:
+        concurrency = default_pool_size()
+    if cpus < 2:
+        return concurrency, 0
+    lo = concurrency if isinstance(concurrency, int) else concurrency[0]
+    if lo >= cpus:
+        raise ValueError(
+            f"link_concurrency={concurrency!r}: a minimum pool of {lo} "
+            f"one-CPU link actors takes all {cpus} cluster CPUs, so the "
+            f"tasks downstream of it never run; use a minimum below {cpus}")
+    return concurrency, 1
+
+
 def link(ds, alias_ref=None, concurrency=None, batch_size: int = 512):
     """batch_size is deliberately small: upstream normalize/extract fuse
     into this actor stage, so the batch unit here is PAGES (≈1.5 ms of
     UDF work each) — 512 keeps task granularity high enough that an
     autoscaled pool stays busy instead of 30 actors idling behind 31
     giant tasks."""
-    if concurrency is None:
-        concurrency = default_pool_size()
+    concurrency, num_cpus = link_pool(concurrency)
     return ds.map_batches(Linker, fn_constructor_kwargs={"alias_ref": alias_ref},
                           batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency, num_cpus=1)
+                          concurrency=concurrency, num_cpus=num_cpus)

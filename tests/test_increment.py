@@ -53,9 +53,13 @@ def test_increment_equals_full_rebuild(tmp_path):
 
 
 def test_increment_replay_is_noop_and_counts(tmp_path):
+    import json
     p = _split_pages(tmp_path, n=320, cut=256)
     store = str(tmp_path / "store")
-    init_incremental(p["a"], store, num_buckets=32)
+    init_incremental(p["a"], store)
+    # the store's bucket count is the layout constant, not the width
+    with open(os.path.join(store, "edges", "_applied.json")) as f:
+        assert json.load(f)["num_buckets"] == 32
     before = table_counts(store)
     r1 = ingest_increment(p["b"], store)
     r2 = ingest_increment(p["b"], store)  # same file list → skipped

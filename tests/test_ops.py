@@ -1003,6 +1003,26 @@ def test_left_lookup_join_paths_agree():
         assert pairs == want, thr
 
 
+def test_left_lookup_join_empty_pandas_right_keeps_type():
+    """An empty lookup side that came through a pandas-format stage
+    (its schema is a PandasBlockSchema) stamps ``out`` with the value
+    column's type, as a non-empty lookup does — not an untyped null."""
+    from guacray.stages.agg import left_lookup_join
+    left = rd.from_arrow(pa.table({"k": pa.array(["a", "c"])}))
+    right = rd.from_arrow(pa.table({
+        "node_id": pa.array(["a", "c"]),
+        "rank": pa.array([1, 3], type=pa.int64())}))
+    empty = right.map_batches(lambda d: d[d["rank"] < 0],
+                              batch_format="pandas")
+
+    def out_type(r):
+        sch = left_lookup_join(left, r, on="k", right_on="node_id",
+                               value_col="rank", out="lab").schema()
+        return sch.types[sch.names.index("lab")]
+    assert out_type(right) == pa.int64()
+    assert out_type(empty) == pa.int64()
+
+
 def test_tfidf_topk_hand_corpus():
     from guacray.stages.quality import tfidf_topk
     # 3 docs: "cat" appears in all (idf=0), "dog" in two, "fox" in one

@@ -162,7 +162,10 @@ def test_pr_gate_at_larger_corpus():
 
 
 def test_checkpoint_modes_equal_outputs(small_pages_path, tmp_path):
+    import os
+    import ray
     from guacray.pipelines.kg import run_kg
+    from guacray.stages.agg import resolve_buckets
     a, b = str(tmp_path / "disk"), str(tmp_path / "fused")
     assert run_kg(small_pages_path, a, checkpoint_mode="disk") \
         == run_kg(small_pages_path, b, checkpoint_mode="fused")
@@ -173,11 +176,20 @@ def test_checkpoint_modes_equal_outputs(small_pages_path, tmp_path):
         y = rd.read_parquet(f"{b}/{t}").to_pandas() \
             .sort_values(key).reset_index(drop=True)
         pd.testing.assert_frame_equal(x, y[x.columns])
+    # the exchange is one bucket per cluster CPU, so neither mode
+    # publishes more table files than the cluster is wide
+    width = int(ray.cluster_resources()["CPU"])
+    assert resolve_buckets(None) == width
+    for d in (a, b):
+        for t in ("nodes", "edges"):
+            n = sum(f.endswith(".parquet") for f in os.listdir(f"{d}/{t}"))
+            assert 1 <= n <= width, (d, t, n)
 
 
 def test_unknown_checkpoint_mode_raises(small_pages_path, tmp_path):
     """A mode outside {None, "disk", "fused"} fails at the API boundary,
-    before any output is created."""
+    before any output is created — and so does a link pool whose
+    minimum size takes every CPU of the (4-CPU) test cluster."""
     import os
     import pytest
     from guacray.pipelines.kg import run_kg
@@ -185,6 +197,68 @@ def test_unknown_checkpoint_mode_raises(small_pages_path, tmp_path):
     with pytest.raises(ValueError, match="checkpoint_mode"):
         run_kg(small_pages_path, out, checkpoint_mode="mem")
     assert not os.path.exists(out)
+    for lc in (4, (4, 6)):
+        with pytest.raises(ValueError, match="link_concurrency"):
+            run_kg(small_pages_path, out, link_concurrency=lc)
+        assert not os.path.exists(out)
+
+
+_WIDTH_ONE_BUILD = """
+import sys
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from guacray import schemas
+from guacray.data.pages import generate_pages
+from guacray.data.reference import reference_graph
+from guacray.pipelines.kg import run_kg
+work = sys.argv[1]
+pages = generate_pages(512)
+pq.write_table(pages, f"{work}/pages.parquet")
+want = [pa.Table.from_pylist(rows, schema=s).sort_by(key)
+        for rows, s, key in zip(reference_graph(pages),
+                                (schemas.NODES, schemas.EDGES),
+                                ("node_id", "edge_id"))]
+for mode in ("fused", "disk"):
+    run_kg(f"{work}/pages.parquet", f"{work}/{mode}", checkpoint_mode=mode)
+    for w, name, key in zip(want, ("nodes", "edges"), ("node_id", "edge_id")):
+        got = pq.read_table(f"{work}/{mode}/{name}", columns=w.column_names)
+        assert got.cast(w.schema).sort_by(key).equals(w), (mode, name)
+print("WIDTH1-OK")
+"""
+
+
+def test_width_one_build_completes(tmp_path):
+    """At ``num_cpus=1`` the link actors hold no CPU slot, so both
+    checkpoint modes finish (rather than waiting forever behind the
+    pool) and match the reference graph.  Runs in its own 1-CPU Ray
+    cluster under a wall timeout."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+    root = str(Path(__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [root, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)}
+    env.pop("RAY_ADDRESS", None)
+    # own process group, so a hung build's Ray processes die with it
+    proc = subprocess.Popen([sys.executable, "-c", _WIDTH_ONE_BUILD,
+                             str(tmp_path)], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=300)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise AssertionError("no width-1 build finished within 300 s")
+    assert proc.returncode == 0 and "WIDTH1-OK" in out, err[-3000:]
 
 
 def test_fused_checkpoint_rerun_idempotent(small_pages_path, tmp_path):
