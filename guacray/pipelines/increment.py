@@ -54,7 +54,7 @@ import ray.data as rd
 
 from .. import schemas
 from ..functions.hashing import BUCKET_HASH_ID, bucket_of_hexid
-from ..stages.agg import agg_by_name
+from ..stages.agg import agg_by_name, cluster_cpus
 from ..stages.canonicalize import CANON_COLS, graph_tables, with_undirected
 from ..stages.link import link_pool
 from .kg import (_commit_dir, broadcast_alias_map, linked_triples,
@@ -263,8 +263,7 @@ def _delta_pool_size(files: list[str]):
     (~4k pages per actor), not to the cluster — spawning a cluster-wide
     pool for a small delta costs more than the extraction itself."""
     rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-    import ray
-    cap = max(1, int(ray.cluster_resources().get("CPU", 16)) - 2)
+    cap = max(1, cluster_cpus() - 2)
     return (1, max(1, min(cap, rows // 4096 + 1)))
 
 

@@ -25,6 +25,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
+from ..stages.agg import cluster_cpus
 from ..stages.canonicalize import CANON_COLS, graph_tables
 from ..stages.extract import extract
 from ..stages.link import link, link_pool
@@ -173,8 +174,8 @@ def bulk_ingest_knobs(pages_path: str, heavy_pages_per_cpu: int = 16_000,
     n_files, est = _estimate_pages(pages_path)
     # read_parquet auto-inits Ray later; don't force that here just for
     # a CPU count when called before init (tests, planning helpers)
-    cpus = int(ray.cluster_resources().get("CPU", 4)) \
-        if ray.is_initialized() else (os.cpu_count() or 4)
+    cpus = cluster_cpus() if ray.is_initialized() \
+        else (os.cpu_count() or 4)
     if not est or est / max(cpus, 1) < heavy_pages_per_cpu:
         return read_parquet_fast(pages_path), None
     lo, hi = default_pool_size()
@@ -318,8 +319,7 @@ def _auto_checkpoint_mode(cpu_threshold: int = 8) -> str:
     changes results; disk remains the wide choice and the resume
     boundary at 100 TB.
     """
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    return "fused" if cpus <= cpu_threshold else "disk"
+    return "fused" if cluster_cpus() <= cpu_threshold else "disk"
 
 
 def run_kg(pages_path: str, out_dir: str, *, num_buckets: int | None = None,

@@ -28,8 +28,8 @@ import ray
 import ray.data as rd
 
 from ..functions.rounding import pc_round
-from ..stages.agg import (agg_by_name, auto_join, bucket_of, bucketed,
-                          grouped_agg, resolve_buckets, semi_join,
+from ..stages.agg import (ROW_BUCKETS, agg_by_name, auto_join, bucket_of,
+                          bucketed, grouped_agg, resolve_buckets, semi_join,
                           semi_join_filter, topk)
 from ..stages.ann import brute_force_topk, lsh_topk, make_query_vector
 from ..stages.dedup import (exact_dedup, jaccard_pairs, minhash_lsh_pairs,
@@ -410,7 +410,8 @@ def events_sessions(sf_dir: str, gap_minutes: int = 30, num_buckets: int | None 
     """
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["user_id", "ts", "event_id"])
-    ds = bucketed(ds, ["user_id"], resolve_buckets(num_buckets))
+    ds = bucketed(ds, ["user_id"],
+                  resolve_buckets(num_buckets, ROW_BUCKETS))
 
     gap = pd.Timedelta(minutes=gap_minutes)
 
@@ -436,7 +437,8 @@ def top_order_per_customer(sf_dir: str, num_buckets: int | None = None):
     key, vectorized idxmax within each bucket."""
     ds = rd.read_parquet(_t(sf_dir, "orders"),
                          columns=["o_custkey", "o_orderkey", "o_totalprice"])
-    ds = bucketed(ds, ["o_custkey"], resolve_buckets(num_buckets))
+    ds = bucketed(ds, ["o_custkey"],
+                  resolve_buckets(num_buckets, ROW_BUCKETS))
 
     def top1(df: pd.DataFrame) -> pd.DataFrame:
         # deterministic tie-break: highest price, then lowest orderkey
@@ -456,7 +458,8 @@ def orders_rank_window(sf_dir: str, num_buckets: int | None = None):
     per bucket (one Python call per bucket, never per group)."""
     ds = rd.read_parquet(_t(sf_dir, "orders"),
                          columns=["o_custkey", "o_orderkey", "o_totalprice"])
-    ds = bucketed(ds, ["o_custkey"], resolve_buckets(num_buckets))
+    ds = bucketed(ds, ["o_custkey"],
+                  resolve_buckets(num_buckets, ROW_BUCKETS))
 
     def ranks(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["o_custkey", "o_totalprice", "o_orderkey"],
@@ -487,7 +490,8 @@ def events_gap_us(sf_dir: str, num_buckets: int | None = None):
     user, vectorized pandas diff within each bucket."""
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts"])
-    ds = bucketed(ds, ["user_id"], resolve_buckets(num_buckets))
+    ds = bucketed(ds, ["user_id"],
+                  resolve_buckets(num_buckets, ROW_BUCKETS))
 
     def lag_fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"])
@@ -537,7 +541,8 @@ def events_sliding_avg(sf_dir: str, window_s: int = 3600,
     equivalent to SQL `RANGE INTERVAL 1 HOUR PRECEDING`."""
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts", "value"])
-    ds = bucketed(ds, ["user_id"], resolve_buckets(num_buckets))
+    ds = bucketed(ds, ["user_id"],
+                  resolve_buckets(num_buckets, ROW_BUCKETS))
 
     def roll(df: pd.DataFrame) -> pd.DataFrame:
         from ..functions.rounding import np_round_half_away
@@ -594,7 +599,8 @@ def events_running_total(sf_dir: str, num_buckets: int | None = None):
     pattern: hash-bucket by user, vectorized pandas cumsum per bucket."""
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts", "value"])
-    ds = bucketed(ds, ["user_id"], resolve_buckets(num_buckets))
+    ds = bucketed(ds, ["user_id"],
+                  resolve_buckets(num_buckets, ROW_BUCKETS))
 
     def run_tot(df: pd.DataFrame) -> pd.DataFrame:
         from ..functions.rounding import round_half_away
@@ -612,7 +618,8 @@ def events_first_type(sf_dir: str, num_buckets: int | None = None):
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts",
                                   "event_type"])
-    ds = bucketed(ds, ["user_id"], resolve_buckets(num_buckets))
+    ds = bucketed(ds, ["user_id"],
+                  resolve_buckets(num_buckets, ROW_BUCKETS))
 
     def first(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"])
@@ -988,7 +995,7 @@ def doc_stratified_sample(sf_dir: str, per_group: int = 20, seed: int = 7,
     the same ranking is expressible in SQL, so this sampling op is
     fully oracle-checked, unlike RNG-based sampling)."""
     import hashlib
-    num_buckets = resolve_buckets(num_buckets)
+    num_buckets = resolve_buckets(num_buckets, ROW_BUCKETS)
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "lang"])
 
     def rank_key(t: pa.Table) -> pa.Table:

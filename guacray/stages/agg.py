@@ -13,9 +13,11 @@ partial/final split, and the skew defence SURVEY.md §4 calls for):
 
 ``exchange`` is the engine's ONE keyed wide op: canonicalization,
 dedup, near-dup pairing, ANN and ``grouped_agg`` all end in it, so
-bucket-count and shuffle changes land in one function.  Its default
-width is one bucket per cluster CPU (``resolve_buckets``), the same
-rule that sizes the hash joins' partitions below.
+bucket-count and shuffle changes land in one function.  Its width is
+``resolve_buckets``: one bucket per cluster CPU when a combiner feeds
+it, with a floor where each reduce call holds a share of the raw input
+rows (``ROW_BUCKETS``); the hash joins below read the same width with
+their own floor (``JOIN_PARTITIONS``).
 
 Supported ops: sum, count, min, max (count merges by sum).  Averages
 are computed by callers as sum/count after the merge — that keeps every
@@ -30,21 +32,45 @@ import pyarrow.compute as pc
 _MERGE_OP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
 
-def resolve_buckets(num_buckets: int | None) -> int:
-    """Shuffle parallelism: one bucket per cluster CPU, so every
-    transient exchange (and hash join) runs one reduce task per CPU.
+# floor of an exchange fed raw rows (``bucketed`` and the other row
+# stamps, the as-of join, span/near-dup pairing): each reduce call holds
+# a 1/B share of the input rows, so B never drops below 32 however
+# narrow the cluster
+ROW_BUCKETS = 32
+# floor of a hash join's partitions: each holds its share of every row
+# of both sides.  These paths run only above a 2M-row broadcast
+# threshold, which no measured workload reaches, so the floor stays
+JOIN_PARTITIONS = 8
 
-    No floor and no input-size term: reduce groups are canonical-size
-    (bounded by distinct keys, not by input rows), and each extra
-    bucket costs a whole task per exchange stage — a 32-bucket floor
-    at 2 CPUs measured ~1.9× the build CPU of 2 buckets (BASELINE.md
-    "size the exchange to the cluster").  Skew is the combiner's job
-    at any count.  Persistent layouts pin their own count
-    (``increment.STORE_BUCKETS``)."""
-    if num_buckets is not None:
-        return num_buckets
+
+def cluster_cpus() -> int:
+    """The cluster's width: the one CPU count every sizing rule reads
+    (exchange buckets, join partitions, link and delta actor pools).
+    A cluster that reports no CPU counts as width 1."""
     import ray
     return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def resolve_buckets(num_buckets: int | None, floor: int = 1) -> int:
+    """Shuffle parallelism: ``max(floor, cluster_cpus())``.
+
+    At the default floor of 1 this is one reduce task per CPU — the
+    width of every combiner-fed exchange (``grouped_agg``,
+    ``graph_tables``, ``document_summary``).  Those reduce groups are
+    canonical-size: the combiner emits at most one row per key per
+    block, so a group is bounded by distinct keys, not input rows, and
+    each extra bucket costs a whole task per exchange stage — a
+    32-bucket floor at 2 CPUs measured ~1.9× the build CPU of 2 buckets
+    (BASELINE.md "size the exchange to the cluster").  Skew is the
+    combiner's job at any count.
+
+    Exchanges fed raw rows pass ``ROW_BUCKETS`` and hash joins pass
+    ``JOIN_PARTITIONS``: their reduce groups grow with the input, so
+    the floor bounds one call's share of it.  Persistent layouts pin
+    their own count (``increment.STORE_BUCKETS``)."""
+    if num_buckets is not None:
+        return num_buckets
+    return max(floor, cluster_cpus())
 
 
 def bucket_of(t: pa.Table, keys: list[str], num_buckets: int) -> pa.Array:
@@ -75,7 +101,8 @@ def bucket_of(t: pa.Table, keys: list[str], num_buckets: int) -> pa.Array:
 
 def bucketed(ds, keys: list[str], num_buckets: int):
     """``ds`` with each row's ``bucket_of`` column appended — the row
-    stamp for bucket groupings whose input is not a combiner's."""
+    stamp for bucket groupings whose input is not a combiner's (size
+    their ``num_buckets`` with ``resolve_buckets(n, ROW_BUCKETS)``)."""
     return ds.map_batches(lambda t: t.append_column(
         "bucket", bucket_of(t, keys, num_buckets)), batch_format="pyarrow")
 
@@ -236,7 +263,7 @@ def auto_join(left, right, *, on: str, right_on: str,
             return pa.table({new: t[old]
                              for old, new in right_rename.items()})
         right = right.map_batches(project, batch_format="pyarrow")
-    num_partitions = resolve_buckets(num_partitions)
+    num_partitions = resolve_buckets(num_partitions, JOIN_PARTITIONS)
     return left.join(right, "inner", num_partitions=num_partitions,
                      on=(on,), right_on=(right_on,))
 
@@ -295,7 +322,7 @@ def left_lookup_join(left, right, *, on: str, right_on: str,
     def project(t: pa.Table) -> pa.Table:
         return pa.table({"__lk_key": t[right_on], "__lk_val": t[value_col]})
     right = right.map_batches(project, batch_format="pyarrow")
-    num_partitions = resolve_buckets(num_partitions)
+    num_partitions = resolve_buckets(num_partitions, JOIN_PARTITIONS)
     joined = left.join(right, "left_outer", num_partitions=num_partitions,
                        on=(on,), right_on=("__lk_key",))
 
@@ -324,7 +351,7 @@ def asof_join(left, right, *, by_left: str, by_right: str,
     import numpy as np
     import pandas as pd
 
-    num_buckets = resolve_buckets(num_buckets)
+    num_buckets = resolve_buckets(num_buckets, ROW_BUCKETS)
 
     # unified schema for the co-grouping union: each side null-pads the
     # other's columns (Ray union requires identical schemas)
@@ -443,7 +470,7 @@ def semi_join(left, right, *, on: str, right_on: str | None = None,
     if n <= broadcast_threshold:
         vals = keys_ds.to_pandas()["__sj_key"].tolist()
         return semi_join_filter(left, vals, on, anti=anti)
-    num_partitions = resolve_buckets(num_partitions)
+    num_partitions = resolve_buckets(num_partitions, JOIN_PARTITIONS)
 
     # big right side: broadcast a Bloom filter of the key set (~1.2 MB /
     # million keys at 1% fp, vs the keys themselves) and pre-filter the

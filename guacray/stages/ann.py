@@ -17,7 +17,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.rounding import np_round_half_away
-from .agg import bucketed, exchange, resolve_buckets
+from .agg import ROW_BUCKETS, bucketed, exchange, resolve_buckets
 
 
 def make_query_vector(dim: int = 64, seed: int = 7) -> np.ndarray:
@@ -211,7 +211,7 @@ def embedding_near_dups(ds, *, threshold: float = 0.95, n_planes: int = 10,
     list), same shape.
     """
     _h = HyperplaneLSH(dim=64, n_planes=n_planes, seed=seed)
-    nb = resolve_buckets(None)
+    nb = resolve_buckets(None, ROW_BUCKETS)
     hashed = bucketed(ds.map_batches(_h, batch_format="pyarrow"),
                       ["lsh_bucket"], nb)
 

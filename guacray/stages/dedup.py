@@ -23,8 +23,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .agg import (agg_by_name, auto_join, bucket_of, bucketed, exchange,
-                  grouped_agg, resolve_buckets)
+from .agg import (ROW_BUCKETS, agg_by_name, auto_join, bucket_of, bucketed,
+                  exchange, grouped_agg, resolve_buckets)
 
 
 # ---------------------------------------------------------------- exact
@@ -128,7 +128,7 @@ def span_dedup(ds, w: int = 15, text_col: str = "text",
     vectorized group pass — spans never leave their bucket, payload
     rows never carry document text.  A second tiny exchange sums the
     per-doc partials (2 ints per doc)."""
-    num_buckets = resolve_buckets(num_buckets)
+    num_buckets = resolve_buckets(num_buckets, ROW_BUCKETS)
 
     def partial(batch: pa.Table) -> pa.Table:
         t = _span_explode(batch, w, id_col, text_col)
@@ -344,14 +344,14 @@ def minhash_lsh_pairs(ds, *, num_perm: int = 64, bands: int = 16,
                                           shingle_k=shingle_k)
         return h(batch)
 
-    nb = resolve_buckets(None)
+    nb = resolve_buckets(None, ROW_BUCKETS)
     # signed feeds both the band explode and the verify join-back —
     # materialize so signing runs exactly once
     signed = ds.map_batches(sign, batch_format="pyarrow").materialize()
     banded = signed.map_batches(to_bands, batch_format="pyarrow")
     # coarse bucket on band_key so each map_groups call is vectorized;
-    # bucket count scales with the cluster (resolve_buckets), never
-    # a literal that caps reduce parallelism
+    # each call holds raw band rows (docs × bands), so the bucket count
+    # is the cluster width with the raw-row floor (resolve_buckets)
     banded = bucketed(banded, ["band_key"], nb)
     cand = exchange(banded, bucket_candidates, nb)
     cand = bucketed(cand, ["doc_a"], nb)
@@ -509,7 +509,7 @@ def simhash_pairs(ds, max_hamming: int = 3):
         return pa.concat_tables(parts)
 
     exploded = signed.map_batches(band_rows, batch_format="pyarrow")
-    nb = resolve_buckets(None)
+    nb = resolve_buckets(None, ROW_BUCKETS)
     exploded = bucketed(exploded, ["band_key"], nb)
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
@@ -686,7 +686,7 @@ def jaccard_pairs(ds, *, threshold: float = 0.5, shingle_k: int = 3,
             "jaccard": pa.array(js, type=pa.float64()),
         })
 
-    nb = resolve_buckets(None)
+    nb = resolve_buckets(None, ROW_BUCKETS)
     sigs = ds.map_batches(shingle_sign, batch_format="pyarrow").materialize()
     pref = sigs.map_batches(prefix_rows, batch_format="pyarrow")
     pref = bucketed(pref, ["token"], nb)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .agg import cluster_cpus
+
 
 class Linker:
     """Actor-pool batch linker.
@@ -78,8 +80,7 @@ def default_pool_size() -> tuple[int, int]:
     the input size (``kg.bulk_ingest_knobs``); this default stays the
     small/interactive-safe choice.
     """
-    import ray
-    cpus = int(ray.cluster_resources().get("CPU", 4))
+    cpus = cluster_cpus()
     return (max(1, cpus // 2), max(2, cpus - 2))
 
 
@@ -94,8 +95,7 @@ def link_pool(concurrency=None) -> tuple:
     At width ≥ 2 each actor takes one CPU, and a caller's pool whose
     MINIMUM size takes every CPU is refused for the same reason (the
     ``default_pool_size`` deadlock)."""
-    import ray
-    cpus = int(ray.cluster_resources().get("CPU", 4))
+    cpus = cluster_cpus()
     if concurrency is None:
         concurrency = default_pool_size()
     if cpus < 2:

@@ -165,7 +165,8 @@ def test_checkpoint_modes_equal_outputs(small_pages_path, tmp_path):
     import os
     import ray
     from guacray.pipelines.kg import run_kg
-    from guacray.stages.agg import resolve_buckets
+    from guacray.stages.agg import (JOIN_PARTITIONS, ROW_BUCKETS,
+                                    cluster_cpus, resolve_buckets)
     a, b = str(tmp_path / "disk"), str(tmp_path / "fused")
     assert run_kg(small_pages_path, a, checkpoint_mode="disk") \
         == run_kg(small_pages_path, b, checkpoint_mode="fused")
@@ -179,7 +180,11 @@ def test_checkpoint_modes_equal_outputs(small_pages_path, tmp_path):
     # the exchange is one bucket per cluster CPU, so neither mode
     # publishes more table files than the cluster is wide
     width = int(ray.cluster_resources()["CPU"])
-    assert resolve_buckets(None) == width
+    assert cluster_cpus() == resolve_buckets(None) == width
+    # exchanges fed raw rows and hash joins keep their floors
+    assert resolve_buckets(None, ROW_BUCKETS) == max(32, width)
+    assert resolve_buckets(None, JOIN_PARTITIONS) == max(8, width)
+    assert resolve_buckets(3, ROW_BUCKETS) == 3
     for d in (a, b):
         for t in ("nodes", "edges"):
             n = sum(f.endswith(".parquet") for f in os.listdir(f"{d}/{t}"))
