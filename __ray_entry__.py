@@ -92,14 +92,13 @@ def _kg_read(sf_dir: str, table: str):
     """Serve a canonical kg table as a pruned read of the materialized
     store (resumable-output contract: consumers read the persisted
     tables; only the first touch pays the build)."""
-    import ray.data as rd
-
+    from guacray.pipelines.increment import read_graph_table
     from guacray.pipelines.kg import evidence_view
     _kg_store(sf_dir)
     d = _store_dir(sf_dir)
     if table == "evidence":
         return evidence_view(d)
-    return rd.read_parquet(os.path.join(d, table))
+    return read_graph_table(d, table)
 
 
 def _kg_license_refs(sf_dir: str):
@@ -232,9 +231,8 @@ def _kg_anchor_edges(sf_dir: str):
     oracle re-derives the table from the triples checkpoint, whose
     surfaces are already resolved (resolution itself is pinned by the
     hand-written golden in tests/test_text.py)."""
-    import ray.data as rd
-
     from guacray.data.pages import generate_anchored_pages
+    from guacray.pipelines.increment import read_graph_table
     from guacray.pipelines.kg import run_kg
     n = _PAGES_PER_SF.get(os.path.basename(os.path.normpath(sf_dir)), 512)
     if n not in _anchor_cache:
@@ -245,7 +243,7 @@ def _kg_anchor_edges(sf_dir: str):
         pq.write_table(generate_anchored_pages(n // 4), p)
         run_kg(p, d)
         _anchor_cache[n] = d
-    return rd.read_parquet(os.path.join(_anchor_cache[n], "edges"))
+    return read_graph_table(_anchor_cache[n], "edges")
 
 
 def _kg_affected_versions(sf_dir: str):
@@ -377,9 +375,10 @@ def _kg_oracles() -> dict[str, str]:
     (content-hash identity), so MIN() reproduces first-wins exactly.
     Store paths are deterministic per fixture size (``_store_dir``)."""
     d = _store_dir(_oracle_sf())
-    tri = os.path.join(d, "triples", "*.parquet")
-    edg = os.path.join(d, "edges", "*.parquet")
-    nod = os.path.join(d, "nodes", "*.parquet")
+    # recursive globs: the store's tables sit in hive partition dirs
+    tri = os.path.join(d, "triples", "**", "*.parquet")
+    edg = os.path.join(d, "edges", "**", "*.parquet")
+    nod = os.path.join(d, "nodes", "**", "*.parquet")
     from guacray.functions.text import SYMMETRIC_PREDICATES
     sym = ", ".join(f"'{p}'" for p in sorted(SYMMETRIC_PREDICATES))
     return {
@@ -430,7 +429,7 @@ def _kg_oracles() -> dict[str, str]:
                    MIN(predicate) IN ({sym}) AS undirected
             FROM read_parquet('{os.path.join(
                 _anchor_store_dir(_oracle_sf()),
-                "triples", "*.parquet")}') GROUP BY edge_id
+                "triples", "**", "*.parquet")}') GROUP BY edge_id
         """,
         "kg_identifiers": f"""
             WITH s AS (
@@ -721,7 +720,7 @@ def _kg_affected_versions_sql() -> str:
     fixture size); the engine side under test is the distributed range
     scan, the SQL re-derives the match from the raw qualifier string."""
     nodes_glob = os.path.join(_store_dir(_oracle_sf()),
-                              "nodes", "*.parquet")
+                              "nodes", "**", "*.parquet")
     return f"""
         SELECT node_id, node_key, node_type, name, qualifiers
         FROM read_parquet('{nodes_glob}')
@@ -746,8 +745,8 @@ def _kg_incremental_edges(sf_dir: str):
     import pyarrow.parquet as pq
 
     from guacray.pipelines.increment import (ingest_increment,
-                                             init_incremental,
                                              read_graph_table)
+    from guacray.pipelines.kg import run_kg
     key = _pages_path(sf_dir)
     if key not in _inc_cache:
         d = _store_dir(sf_dir) + "_inc"
@@ -760,7 +759,7 @@ def _kg_incremental_edges(sf_dir: str):
                              f"guacray_incpages_{t.num_rows}_{name}.parquet")
             pq.write_table(tbl, p)
             halves.append(p)
-        init_incremental(halves[0], d)
+        run_kg(halves[0], d)
         ingest_increment(halves[1], d)
         _inc_cache[key] = d
     return read_graph_table(_inc_cache[key], "edges")

@@ -56,15 +56,8 @@ def main(argv: list[str] | None = None) -> int:
     i.add_argument("--resumable", action="store_true",
                    help="per-input-file partitions with manifest/resume")
 
-    ii = sub.add_parser("ingest-init",
-                        help="initialize an INCREMENTAL graph store "
-                             "(bucket-partitioned tables)")
-    ii.add_argument("pages")
-    ii.add_argument("out_dir")
-    ii.add_argument("--num-buckets", type=int, default=None)
-
     ia = sub.add_parser("ingest-add",
-                        help="merge new pages into an incremental store "
+                        help="merge new pages into a store "
                              "(delta-only; replay of the same input is "
                              "a no-op)")
     ia.add_argument("pages")
@@ -72,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
 
     cp = sub.add_parser("compact",
                         help="collapse multi-file bucket partitions of "
-                             "an incremental store to one file each "
+                             "a store to one file each "
                              "(reads unchanged; no-op tables untouched)")
     cp.add_argument("out_dir")
 
@@ -130,12 +123,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             counts = run_kg(files[0], out_dir)
         print(json.dumps(counts))
-        return 0
-
-    if args.cmd == "ingest-init":
-        from .pipelines.increment import init_incremental
-        print(json.dumps(init_incremental(args.pages, args.out_dir,
-                                          num_buckets=args.num_buckets)))
         return 0
 
     if args.cmd == "ingest-add":

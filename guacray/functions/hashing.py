@@ -46,9 +46,9 @@ def bucket_of_hexid(ids, num_buckets: int):
     """Vectorized ``int(h[:8], 16) % num_buckets`` over a column of
     lowercase hex content ids.
 
-    The PERSISTENT bucket function of the incremental store layout
-    (``pipelines/increment.py`` and enrich's bucketed-store merge) —
-    nothing else.  It is defined entirely by this file (first 32 bits
+    The PERSISTENT bucket function of the store layout (the build's
+    exchange in ``stages/canonicalize.py``, its publish and every
+    writer in ``pipelines/increment.py``) — nothing else.  It is defined entirely by this file (first 32 bits
     of our own content hash), so unlike ``pd.util.hash_array`` it can
     never drift across pandas versions and silently re-route ids to
     different buckets.  In-flight shuffles use ``stages.agg.bucket_of``.

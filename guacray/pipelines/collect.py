@@ -139,8 +139,8 @@ def run_collect_loop(store_dir: str, *, fetch=None, max_rounds: int = 2,
                      work_dir: str | None = None,
                      dispatch_limit: int = 100_000,
                      now: float | None = None) -> dict:
-    """Run the discover → dispatch → ingest → commit loop against an
-    incremental store until fixpoint or ``max_rounds``.
+    """Run the discover → dispatch → ingest → commit loop against a
+    store until fixpoint or ``max_rounds``.
 
     ``fetch(surfaces, out_path)`` returns the path of a pages parquet
     about those identifiers (or None for "nothing fetchable") —

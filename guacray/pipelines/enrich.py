@@ -14,9 +14,9 @@ Ray-Data re-expression (an incremental re-run, not a service):
      small parquet sidecar, not on the node rows)
   2. actor-pool enrich stage (rate-limitable client held per actor —
      the OSV/deps.dev client pattern) → new triples
-  3. canonicalize the new triples and MERGE into the existing
-     nodes/edges tables (union + keyed dedup; content-hash identity
-     makes the merge idempotent, so replays are safe)
+  3. MERGE the new rows into the store's touched buckets (the
+     increment merge; content-hash identity makes it idempotent, so
+     replays are safe)
   4. commit the scan state atomically
 
 The enrichment "service" here is deterministic and local (no network
@@ -32,13 +32,13 @@ import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data as rd
 
 from .. import schemas
 from ..functions.hashing import content_id
 from ..functions.keys import entity_key, node_id
-from ..stages.agg import grouped_agg, semi_join
+from ..stages.agg import semi_join
+from .increment import _checked_ledger, _with_bucket, merge_delta_tables
 from .kg import _dir_num_rows, write_table
 
 _CATEGORIES = ["alpha", "beta", "gamma", "delta", "epsilon",
@@ -226,13 +226,6 @@ def _migrate_scan_state(state_path: str) -> None:
     write_table(stamped, state_path)
 
 
-def _read_store_nodes(out_dir: str, node_type: str):
-    """node_type-filtered read that works for flat AND incremental
-    (hive bucket-partitioned) node tables."""
-    from ..query.graph import GraphStore
-    return GraphStore(out_dir).nodes(node_type=node_type)
-
-
 def nodes_needing_scan(out_dir: str, *, node_type: str,
                        rescan_after_s: float, now: float,
                        certifier: str = "category"):
@@ -241,7 +234,8 @@ def nodes_needing_scan(out_dir: str, *, node_type: str,
     scanned) — a distributed anti join against the fresh slice of the
     scan state (size-aware: broadcast array below threshold, Bloom +
     hash join above; the state table never reaches the driver)."""
-    nodes = _read_store_nodes(out_dir, node_type)
+    from ..query.graph import GraphStore
+    nodes = GraphStore(out_dir).nodes(node_type=node_type)
     state = _scan_state_path(out_dir)
     if not os.path.isdir(state):
         return nodes
@@ -263,11 +257,10 @@ def run_enrichment(out_dir: str, *, certifier: str = "category",
     Merging uses content-keyed dedup — identical content keys collapse,
     so running this twice (or crashing between steps and rerunning) is
     idempotent, exactly like GUAC's at-least-once queue + content-keyed
-    upsert (SURVEY.md §3.3).  On an INCREMENTAL store the merge is the
-    touched-bucket delta merge (pipelines/increment.py) — a daily
-    certifier pass rewrites only the bucket partitions its new ids land
-    in, never the whole graph; flat stores fall back to the full
-    union+dedup rewrite (the only option for a single-dir table)."""
+    upsert (SURVEY.md §3.3).  The merge is the touched-bucket delta
+    merge (pipelines/increment.py) — a daily certifier pass rewrites
+    only the bucket partitions its new ids land in, never the whole
+    graph."""
     spec = CERTIFIERS[certifier]
     node_type = node_type or spec["node_type"]
     rescan_after_s = spec["rescan_after_s"] if rescan_after_s is None \
@@ -330,35 +323,16 @@ def run_enrichment(out_dir: str, *, certifier: str = "category",
     new_edges = enriched.map_batches(to_edges, batch_format="pyarrow")
     new_nodes = enriched.map_batches(to_nodes, batch_format="pyarrow")
 
-    from ..pipelines.increment import LEDGER
-    ledger_path = os.path.join(out_dir, "edges", LEDGER)
-    if os.path.exists(ledger_path):
-        # incremental store: reuse the touched-bucket delta merge —
-        # untouched bucket partitions are hardlinked, never read
-        from ..pipelines.increment import (_checked_ledger, _with_bucket,
-                                           merge_delta_tables)
-        ledger = _checked_ledger(os.path.join(out_dir, "edges"))
-        nb = ledger["num_buckets"]
-        d_nodes = new_nodes.map_batches(_with_bucket("node_id", nb),
-                                        batch_format="pyarrow")
-        d_edges = new_edges.map_batches(_with_bucket("edge_id", nb),
-                                        batch_format="pyarrow")
-        merge_delta_tables(out_dir, d_nodes, d_edges, dict(ledger))
-    else:
-        # flat store: full union + keyed dedup rewrite (atomic)
-        for name, new_ds, key, schema in (
-                ("edges", new_edges, "edge_id", schemas.EDGES),
-                ("nodes", new_nodes, "node_id", schemas.NODES)):
-            existing = rd.read_parquet(os.path.join(out_dir, name))
-
-            def normalize_schema(t: pa.Table, schema=schema) -> pa.Table:
-                return t.select(schema.names).cast(schema)
-            existing = existing.map_batches(normalize_schema,
-                                            batch_format="pyarrow")
-            merged = grouped_agg(existing.union(new_ds), [key],
-                                 [(c, "min", c) for c in schema.names
-                                  if c != key])
-            write_table(merged, os.path.join(out_dir, name), schema)
+    # untouched bucket partitions are hardlinked, never read
+    ledger = _checked_ledger(os.path.join(out_dir, "edges"))
+    nb = ledger["num_buckets"]
+    merge_delta_tables(
+        out_dir,
+        new_nodes.map_batches(_with_bucket("node_id", nb),
+                              batch_format="pyarrow"),
+        new_edges.map_batches(_with_bucket("edge_id", nb),
+                              batch_format="pyarrow"),
+        dict(ledger))
 
     # commit scan state (atomic via write_table): union old + newly
     # scanned, keep-latest per (node, certifier) via a distributed

@@ -6,12 +6,10 @@ backend (MergedIngest flush loop,
 /root/reference/pkg/ingestor/ingestor.go:90-150; keyvalue upserts
 assembler.go:196-308).  A batch rebuild (``run_kg``) re-canonicalizes
 all history every run; this module is the Ray-Data-native equivalent
-of the upsert path:
+of the upsert path over the store ``run_kg`` builds (nodes/edges
+hive-partitioned as ``bucket=<b>/`` dirs, bucket count pinned in the
+table ledger — every later writer MUST reuse it):
 
-  init_incremental   same pipeline as ``run_kg`` but nodes/edges are
-                     written hive-partitioned by shuffle bucket
-                     (``bucket=<b>/`` dirs; bucket count pinned in the
-                     table ledger — increments MUST reuse it)
   ingest_increment   extract+link ONLY the new pages, canonicalize the
                      delta, then merge into the store touching ONLY
                      the bucket partitions the delta lands in —
@@ -41,7 +39,6 @@ already in the edges ledger is skipped before anything runs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -51,21 +48,17 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
+from ray.util.scheduling_strategies import NodeAffinitySchedulingStrategy
 
 from .. import schemas
 from ..functions.hashing import BUCKET_HASH_ID, bucket_of_hexid
 from ..stages.agg import agg_by_name, cluster_cpus
 from ..stages.canonicalize import CANON_COLS, graph_tables, with_undirected
-from ..stages.link import link_pool
-from .kg import (_commit_dir, broadcast_alias_map, linked_triples,
-                 read_parquet_fast, write_table)
+from .kg import (_commit_dir, _dir_num_rows, _increment_id, _input_files,
+                 broadcast_alias_map, linked_triples, read_parquet_fast,
+                 run_kg, write_table)
 
 LEDGER = "_applied.json"
-# bucket count of a new store: pinned in its ledger for the store's
-# life (every increment, delete and compaction reuses it), so it is a
-# layout constant, not the transient exchange width ``resolve_buckets``
-# derives from whichever cluster happens to run ``init_incremental``
-STORE_BUCKETS = 32
 # bucketed store tables → the id column their buckets hash
 ID_COLS = {"nodes": "node_id", "edges": "edge_id"}
 
@@ -102,26 +95,8 @@ def _checked_ledger(table_dir: str) -> dict:
             f"incremental table at {table_dir} was bucket-stamped with "
             f"{stamped!r}, this build uses {BUCKET_HASH_ID!r} — refusing "
             "to write with a different bucket function; rebuild the "
-            "store with init_incremental")
+            "store with run_kg")
     return ledger
-
-
-def _increment_id(files: list[str]) -> str:
-    """Content-address an increment by its sorted input-file list —
-    replaying the same submission is a no-op, not a double-count."""
-    h = hashlib.blake2b("\n".join(sorted(files)).encode(),
-                        digest_size=8).hexdigest()
-    return f"inc-{h}"
-
-
-def _input_files(pages_path) -> list[str]:
-    if isinstance(pages_path, (list, tuple)):
-        return sorted(pages_path)
-    if os.path.isdir(pages_path):
-        return sorted(os.path.join(pages_path, f)
-                      for f in os.listdir(pages_path)
-                      if f.endswith(".parquet"))
-    return [pages_path]
 
 
 def _bucket_files(table_dir: str, bucket: int) -> list[str]:
@@ -133,6 +108,8 @@ def _bucket_files(table_dir: str, bucket: int) -> list[str]:
 
 
 def _live_buckets(table_dir: str) -> set[int]:
+    if not os.path.isdir(table_dir):
+        return set()
     return {int(name.split("=", 1)[1]) for name in os.listdir(table_dir)
             if name.startswith("bucket=")}
 
@@ -182,80 +159,64 @@ def _hardlink_buckets(live_dir: str, tmp_dir: str,
 
 
 def _swap_table(table_dir: str, merged_ds, touched: set[int],
-                ledger: dict, order_cols: list[str]) -> None:
+                ledger: dict, schema: pa.Schema) -> None:
     """Publish a new table version: merged touched buckets written
     distributed (hive layout), untouched buckets HARDLINKED from the
     live version (never read), ledger written last, then ONE atomic
     dir swap.  A crash before the swap leaves the live table exactly
-    as it was."""
+    as it was.  A table left with no rows keeps one empty file in
+    ``bucket=0`` so readers still see its schema."""
     tmp = table_dir.rstrip("/") + ".__tmp__"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
     merged_ds.map_batches(
-        lambda t: t.select(["bucket"] + order_cols),
+        lambda t: t.select(["bucket"] + schema.names),
         batch_format="pyarrow").write_parquet(
             tmp, partition_cols=["bucket"])
     _hardlink_buckets(table_dir, tmp, _live_buckets(table_dir) - touched)
+    if not _live_buckets(tmp):
+        os.makedirs(os.path.join(tmp, "bucket=0"))
+        pq.write_table(schema.empty_table(),
+                       os.path.join(tmp, "bucket=0", "empty.parquet"))
     with open(_ledger_path(tmp), "w") as f:
         json.dump(ledger, f)
     _commit_dir(tmp, table_dir)
 
 
 def read_graph_table(out_dir: str, name: str):
-    """Canonical-schema Dataset over an incremental store's table (the
-    hive ``bucket`` partition column is pruned at the read)."""
-    cols = ([f.name for f in schemas.NODES] if name == "nodes"
-            else [f.name for f in schemas.EDGES] if name == "edges"
-            else None)
-    return rd.read_parquet(os.path.join(out_dir, name), columns=cols)
+    """Canonical-schema Dataset over a store table: ``nodes``,
+    ``edges`` or ``triples`` (the hive ``bucket`` / ``increment``
+    partition column is pruned at the read)."""
+    schema = {"nodes": schemas.NODES, "edges": schemas.EDGES,
+              "triples": schemas.TRIPLES}[name]
+    return rd.read_parquet(os.path.join(out_dir, name),
+                           columns=schema.names)
 
 
 def table_counts(out_dir: str) -> dict:
-    counts = {}
-    for name in ("nodes", "edges"):
-        counts[name] = sum(
-            pq.ParquetFile(p).metadata.num_rows
-            for b in sorted(_live_buckets(os.path.join(out_dir, name)))
-            for p in _bucket_files(os.path.join(out_dir, name), b))
-    return counts
+    return {name: _dir_num_rows(os.path.join(out_dir, name))
+            for name in ("nodes", "edges")}
 
 
-def init_incremental(pages_path, out_dir: str, *,
-                     num_buckets: int | None = None, seed: int = 42,
-                     link_concurrency=None) -> dict:
-    """Build the initial incrementally-maintainable store, with
-    ``num_buckets`` store buckets (default ``STORE_BUCKETS``) pinned in
-    its ledger.  ``init`` means init: any existing store at ``out_dir``
-    is removed first (otherwise stale live buckets would be hardlinked
-    in next to the fresh ones)."""
-    link_pool(link_concurrency)  # a pool that cannot progress fails here
-    shutil.rmtree(out_dir, ignore_errors=True)
-    nb = STORE_BUCKETS if num_buckets is None else num_buckets
-    files = _input_files(pages_path)
-    inc = _increment_id(files)
-    alias_ref = broadcast_alias_map(seed)
-    tri_dir = os.path.join(out_dir, "triples", f"increment={inc}")
-    write_table(linked_triples(read_parquet_fast(files), alias_ref,
-                               link_concurrency),
-                tri_dir, schemas.TRIPLES, min_rows_per_file=200_000)
-    tri = read_parquet_fast(tri_dir, columns=CANON_COLS)
-    # the exchange is transient: cluster-wide, like the delta's below;
-    # only the _with_bucket stamp carries the store's bucket count
-    nodes, edges = graph_tables(tri)
-    nodes = nodes.map_batches(_with_bucket("node_id", nb),
-                              batch_format="pyarrow")
-    edges = edges.map_batches(_with_bucket("edge_id", nb),
-                              batch_format="pyarrow")
-    ledger = {"applied": [inc], "num_buckets": nb, "seed": seed,
+def publish_build(out_dir: str, nodes, edges, *, applied: list[str],
+                  num_buckets: int, seed: int) -> None:
+    """Publish a full build's canonical nodes/edges as the bucketed
+    store, ``num_buckets`` pinned in a fresh ledger.  Every live bucket
+    counts as touched: a build carries nothing over, so a rebuild into
+    an existing store leaves no stale bucket (of this or of another
+    bucket count) behind."""
+    ledger = {"applied": applied, "num_buckets": num_buckets, "seed": seed,
               "bucket_hash": BUCKET_HASH_ID}
-    node_cols = [f.name for f in schemas.NODES]
-    edge_cols = [f.name for f in schemas.EDGES]
-    for table, ds, cols in (("nodes", nodes, node_cols),
-                            ("edges", edges, edge_cols)):
-        d = os.path.join(out_dir, table)
-        os.makedirs(d, exist_ok=True)
-        _swap_table(d, ds, set(), ledger, cols)
-    return {"increment": inc, **table_counts(out_dir)}
+    for name, ds, schema in (("nodes", nodes, schemas.NODES),
+                             ("edges", edges, schemas.EDGES)):
+        d = os.path.join(out_dir, name)
+        stamped = ds.map_batches(_with_bucket(ID_COLS[name], num_buckets),
+                                 batch_format="pyarrow")
+        _swap_table(d, stamped, _live_buckets(d), ledger, schema)
+
+
+# the store's builder under its former name, which perfbench/ still calls
+init_incremental = run_kg
 
 
 def _delta_pool_size(files: list[str]):
@@ -269,7 +230,7 @@ def _delta_pool_size(files: list[str]):
 
 def ingest_increment(pages_path, out_dir: str, *,
                      link_concurrency=None) -> dict:
-    """Merge new pages into an existing incremental store.
+    """Merge new pages into an existing store (built by ``run_kg``).
 
     Only the bucket partitions the delta's content-hash ids land in are
     read and rewritten; the rest of the graph is untouched.  Replaying
@@ -285,9 +246,8 @@ def ingest_increment(pages_path, out_dir: str, *,
     """
     import time
 
-    edges_dir = os.path.join(out_dir, "edges")
-    nodes_dir = os.path.join(out_dir, "nodes")
-    ledger = _checked_ledger(edges_dir)  # edges ledger = commit marker
+    # edges ledger = commit marker
+    ledger = _checked_ledger(os.path.join(out_dir, "edges"))
     nb, seed = ledger["num_buckets"], ledger["seed"]
     files = _input_files(pages_path)
     inc = _increment_id(files)
@@ -350,11 +310,11 @@ def delete_rows_bucketed(table_dir: str, id_col: str, ids: list[str],
     to removal.  Returns the number of rows removed.  Atomic: the dir
     swap publishes the new version or leaves the live one intact."""
     ledger = _checked_ledger(table_dir)
-    # ids that are not >=8 chars of lowercase hex cannot exist in an
-    # incremental table (every stored row was bucket-stamped through
-    # bucket_of_hexid at ingest, which REJECTS such ids) — treat them
-    # as not-present (0 rows removed), matching the flat-store path,
-    # instead of letting the persistent-bucket format guard raise
+    # ids that are not >=8 chars of lowercase hex cannot exist in a
+    # store table (every stored row was bucket-stamped through
+    # bucket_of_hexid, which REJECTS such ids) — treat them as
+    # not-present (0 rows removed) instead of letting the
+    # persistent-bucket format guard raise
     ids = sorted({i for i in ids
                   if isinstance(i, str) and len(i) >= 8
                   and all(c in "0123456789abcdef" for c in i[:8])})
@@ -367,17 +327,15 @@ def delete_rows_bucketed(table_dir: str, id_col: str, ids: list[str],
     if not live:
         return 0
     before = sum(pq.ParquetFile(f).metadata.num_rows for f in live)
-    cols = [f.name for f in schema]
-    import ray
     ref = ray.put(pa.array(ids))
 
     def drop(t: pa.Table) -> pa.Table:
         return t.filter(pc.invert(pc.is_in(t[id_col],
                                            value_set=ray.get(ref))))
-    remaining = read_parquet_fast(live, columns=cols) \
+    remaining = read_parquet_fast(live, columns=schema.names) \
         .map_batches(drop, batch_format="pyarrow") \
         .map_batches(_with_bucket(id_col, nb), batch_format="pyarrow")
-    _swap_table(table_dir, remaining, touched, ledger, cols)
+    _swap_table(table_dir, remaining, touched, ledger, schema)
     after = sum(pq.ParquetFile(f).metadata.num_rows
                 for b in sorted(touched) for f in _bucket_files(table_dir, b))
     return before - after
@@ -386,28 +344,25 @@ def delete_rows_bucketed(table_dir: str, id_col: str, ids: list[str],
 def merge_delta_tables(out_dir: str, d_nodes, d_edges,
                        new_ledger: dict) -> dict:
     """Touched-bucket merge of canonical node/edge DELTA Datasets (a
-    ``bucket`` column already stamped via ``_with_bucket``) into an
-    incremental store: only the live bucket partitions the delta's ids
-    land in are read and rewritten, untouched buckets are HARDLINKED,
+    ``bucket`` column already stamped via ``_with_bucket``) into the
+    store: only the live bucket partitions the delta's ids land in are
+    read and rewritten, untouched buckets are HARDLINKED,
     nodes are published first (any-wins merge — idempotent under
     crash-replay), the edges swap commits.  Shared by ingest_increment
     and the certifier loop (pipelines/enrich.py) — a daily enrichment
     pass must not re-shuffle the whole graph."""
     nb = new_ledger["num_buckets"]
-    nodes_dir = os.path.join(out_dir, "nodes")
-    edges_dir = os.path.join(out_dir, "edges")
-    node_cols = [f.name for f in schemas.NODES]
-    edge_cols = [f.name for f in schemas.EDGES]
-    plans = (("nodes", nodes_dir, d_nodes, _merge_nodes, node_cols),
-             ("edges", edges_dir, d_edges, _merge_edges, edge_cols))
+    plans = (("nodes", d_nodes, _merge_nodes, schemas.NODES),
+             ("edges", d_edges, _merge_edges, schemas.EDGES))
     stats = {}
-    for name, d, delta, merge_fn, cols in plans:
+    for name, delta, merge_fn, schema in plans:
+        d = os.path.join(out_dir, name)
         touched = _touched(delta)
         live = [f for b in sorted(touched) for f in _bucket_files(d, b)]
         if name == "edges" and "undirected" in delta.schema().names:
             delta = delta.drop_columns(["undirected"])
         if live:
-            existing = read_parquet_fast(live, columns=cols)
+            existing = read_parquet_fast(live, columns=schema.names)
             if name == "edges":
                 existing = existing.drop_columns(["undirected"])
             existing = existing.map_batches(
@@ -420,7 +375,7 @@ def merge_delta_tables(out_dir: str, d_nodes, d_edges,
         if name == "edges":
             merged = merged.map_batches(with_undirected,
                                         batch_format="pyarrow")
-        _swap_table(d, merged, touched, new_ledger, cols)
+        _swap_table(d, merged, touched, new_ledger, schema)
         stats[f"touched_{name}_buckets"] = len(touched)
     return stats
 
@@ -450,8 +405,10 @@ def compact_store(out_dir: str, tables=("nodes", "edges")) -> dict:
     tier): the unit of work is "one bucket dir → exactly one file", a
     per-partition file-layout invariant the Dataset write path cannot
     pin without a full shuffle.  Only file PATHS cross the driver;
-    bucket data stays in the tasks.  A no-op table (all buckets
-    already single-file) is left byte-for-byte alone — no swap.
+    bucket data stays in the tasks, which are pinned to the driver's
+    node because the paths are the driver's local ones.  A no-op table
+    (all buckets already single-file) is left byte-for-byte alone — no
+    swap.
     """
     unknown = [name for name in tables if name not in ID_COLS]
     if unknown:
@@ -460,13 +417,7 @@ def compact_store(out_dir: str, tables=("nodes", "edges")) -> dict:
     stats = {}
     for name in tables:
         d = os.path.join(out_dir, name)
-        if not os.path.exists(_ledger_path(d)):
-            raise RuntimeError(
-                f"{d} is not an incremental store table (no "
-                f"{os.path.basename(_ledger_path(d))} ledger) — compact "
-                f"applies to init_incremental stores; flat run_kg "
-                f"outputs are rewritten whole on each run instead")
-        ledger = _read_ledger(d)
+        ledger = _checked_ledger(d)
         per_bucket = {b: _bucket_files(d, b) for b in _live_buckets(d)}
         multi = {b: fs for b, fs in per_bucket.items() if len(fs) > 1}
         # a killed earlier run may have left a tmp dir — clear it even
@@ -476,17 +427,20 @@ def compact_store(out_dir: str, tables=("nodes", "edges")) -> dict:
         if not multi:
             stats[f"compacted_{name}_buckets"] = 0
             continue
+        here = NodeAffinitySchedulingStrategy(
+            ray.get_runtime_context().get_node_id(), soft=False)
         refs, dsts = [], []
         for b, fs in sorted(multi.items()):
             bd = os.path.join(tmp, f"bucket={b}")
             os.makedirs(bd, exist_ok=True)
             dsts.append(os.path.join(bd, "compact-0.parquet"))
-            refs.append(_compact_bucket.remote(fs, dsts[-1], ID_COLS[name]))
+            refs.append(_compact_bucket.options(scheduling_strategy=here)
+                        .remote(fs, dsts[-1], ID_COLS[name]))
         _hardlink_buckets(d, tmp, set(per_bucket) - set(multi))
         ray.get(refs)
-        # a task that ran on another node (or lost its write) returns
-        # normally but leaves no file here — publishing that tmp dir
-        # would silently drop the bucket's rows
+        # a task that lost its write returns normally but leaves no
+        # file here — publishing that tmp dir would silently drop the
+        # bucket's rows
         missing = [f for f in dsts if not os.path.exists(f)]
         if missing:
             raise RuntimeError(

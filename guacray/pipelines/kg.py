@@ -9,8 +9,13 @@ SURVEY.md §3.1), end to end:
         (fused into ONE actor-pool pass)     #   (content-hash identity)
       → triples checkpoint (compacted parquet)
       → canonicalize (combiner + ONE bucketed exchange → nodes+edges)
-      → write_parquet nodes/ edges/          # assembler backend tables
+      → nodes/bucket=<b>/ edges/bucket=<b>/  # assembler backend tables
         (evidence = projection view of the checkpoint)
+
+The published tables are the one store layout every writer maintains
+(``pipelines/increment.py``): one bucket per exchange bucket, the
+bucket count pinned in each table's ``_applied.json`` ledger, and the
+checkpoint under ``triples/increment=<id>/``.
 
 Everything is lazy/streaming until the writes; nothing materializes the
 full dataset on the driver.
@@ -25,7 +30,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.agg import cluster_cpus
+from ..stages.agg import cluster_cpus, resolve_buckets
 from ..stages.canonicalize import CANON_COLS, graph_tables
 from ..stages.extract import extract
 from ..stages.link import link, link_pool
@@ -35,8 +40,7 @@ from .. import schemas
 
 
 def write_table(ds, out_dir: str, empty_schema=None,
-                min_rows_per_file: int | None = None,
-                partition_cols: list[str] | None = None) -> None:
+                min_rows_per_file: int | None = None) -> None:
     """Overwrite-write a Dataset as a parquet dir, atomically.
 
     ``write_parquet`` appends part files into an existing dir; a rerun
@@ -55,11 +59,8 @@ def write_table(ds, out_dir: str, empty_schema=None,
     kwargs = {}
     if min_rows_per_file is not None:
         kwargs["min_rows_per_file"] = min_rows_per_file
-    if partition_cols:
-        kwargs["partition_cols"] = partition_cols
     ds.write_parquet(tmp, **kwargs)
-    if not partition_cols and not any(
-            f.endswith(".parquet") for f in os.listdir(tmp)):
+    if not any(f.endswith(".parquet") for f in os.listdir(tmp)):
         # empty dataset: write_parquet emits no files; persist an explicit
         # empty table so readers see a valid (0-row) parquet dir
         import pyarrow as pa
@@ -132,15 +133,33 @@ def read_parquet_fast(path_or_paths, **kwargs):
         ctx.decoding_size_estimation = old
 
 
-def _estimate_pages(pages_path: str) -> tuple[int, int]:
+def _input_files(pages_path) -> list[str]:
+    """Sorted parquet files of a pages input: a list of files, or a
+    local directory walked recursively; any other path (one file, a
+    non-local URI) is its own one-element list."""
+    if isinstance(pages_path, (list, tuple)):
+        return sorted(pages_path)
+    if os.path.isdir(pages_path):
+        return sorted(os.path.join(r, f) for r, _, fs in os.walk(pages_path)
+                      for f in fs if f.endswith(".parquet"))
+    return [pages_path]
+
+
+def _increment_id(files: list[str]) -> str:
+    """Content-address an increment by its sorted input-file list —
+    replaying the same submission is a no-op, not a double-count."""
+    import hashlib
+    h = hashlib.blake2b("\n".join(sorted(files)).encode(),
+                        digest_size=8).hexdigest()
+    return f"inc-{h}"
+
+
+def _estimate_pages(pages_path) -> tuple[int, int]:
     """Cheap (n_files, row estimate): shard count × rows in ONE footer
     (this pipeline writes uniform shards).  (0, 0) = unknown
     (non-local path)."""
+    files = _input_files(pages_path)
     try:
-        files = [os.path.join(r, f) for r, _, fs in os.walk(pages_path)
-                 for f in fs if f.endswith(".parquet")]
-        if os.path.isfile(pages_path):
-            files = [pages_path]
         if not files:
             return 0, 0
         return len(files), len(files) * pq.ParquetFile(
@@ -322,13 +341,25 @@ def _auto_checkpoint_mode(cpu_threshold: int = 8) -> str:
     return "fused" if cluster_cpus() <= cpu_threshold else "disk"
 
 
-def run_kg(pages_path: str, out_dir: str, *, num_buckets: int | None = None,
+def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
            link_concurrency=None, seed: int = 42,
-           partition_edges_by_predicate: bool = False,
            checkpoint_mode: str | None = None,
            attestations_path: str | None = None,
            public_keys: dict[str, bytes] | None = None) -> dict:
-    """One-shot run: pages parquet → out_dir/{triples,nodes,edges}.
+    """One-shot build: pages parquet (a file, a dir or a list of files)
+    → the store under ``out_dir``: ``triples/increment=<id>/`` plus
+    ``nodes/bucket=<b>/`` and ``edges/bucket=<b>/``, each table with
+    its ``_applied.json`` ledger, which ``ingest_increment``,
+    ``compact_store``, ``run_enrichment`` and ``GraphStore`` deletes
+    then maintain.
+
+    The store has ``num_buckets`` buckets (default: the cluster width,
+    ``resolve_buckets``), pinned in the ledger for the store's life;
+    the canonical exchange runs at that width and routes by the same
+    persistent bucket function, so each table publishes one file per
+    bucket.  A rebuild into an existing store replaces ``triples/``
+    whole and swaps each table atomically, leaving no stale bucket or
+    increment partition behind.
 
     ``checkpoint_mode`` picks how the triples checkpoint meets the
     canonical exchange (``None`` = ``_auto_checkpoint_mode``'s width
@@ -351,10 +382,15 @@ def run_kg(pages_path: str, out_dir: str, *, num_buckets: int | None = None,
     could never make progress at this width (``link_pool``) raises
     ``ValueError`` before any work too.
     """
+    import shutil
+
+    from .increment import publish_build
     if checkpoint_mode not in (None, "disk", "fused"):
         raise ValueError("checkpoint_mode must be None, 'disk' or "
                          f"'fused', got {checkpoint_mode!r}")
     link_pool(link_concurrency)  # a pool that cannot progress fails here
+    nb = resolve_buckets(num_buckets)
+    inc = _increment_id(_input_files(pages_path))
     alias_ref = broadcast_alias_map(seed)
     pages, auto_lc = bulk_ingest_knobs(pages_path)
     triples = linked_triples(pages, alias_ref,
@@ -372,13 +408,16 @@ def run_kg(pages_path: str, out_dir: str, *, num_buckets: int | None = None,
         att = dsse_identity_triples(verify_dsse_stage(
             read_binary_docs(attestations_path), public_keys or {}))
         triples = triples.union(att)
+    # the build's checkpoint is the store's only increment partition:
+    # written into a tmp copy of triples/ that replaces the live one
+    # whole, so increments of an older store never outlive a rebuild
     tri_dir = os.path.join(out_dir, "triples")
+    tri_tmp = tri_dir.rstrip("/") + ".__tmp__"
+    part = os.path.join(tri_tmp, f"increment={inc}")
+    shutil.rmtree(tri_tmp, ignore_errors=True)
     mode = checkpoint_mode or _auto_checkpoint_mode()
     if mode == "fused":
-        import shutil
-        fused_tmp = tri_dir.rstrip("/") + ".__tmp__"
-        shutil.rmtree(fused_tmp, ignore_errors=True)
-        os.makedirs(fused_tmp, exist_ok=True)
+        os.makedirs(part)
         # batch_size=200k: the writer coalesces the linker's many small
         # output blocks into compacted checkpoint files (same 200k-row
         # target as disk mode's min_rows_per_file) AND hands the
@@ -386,31 +425,24 @@ def run_kg(pages_path: str, out_dir: str, *, num_buckets: int | None = None,
         # blocks collapses almost nothing and the exchange would
         # shuffle ~the full triple volume (first fused A/B measured
         # 25% SLOWER than disk for exactly this reason)
-        tri = triples.map_batches(_fused_checkpoint_writer(fused_tmp),
+        tri = triples.map_batches(_fused_checkpoint_writer(part),
                                   batch_format="pyarrow",
                                   batch_size=200_000)
     else:
-        write_table(triples, tri_dir, schemas.TRIPLES,
+        write_table(triples, part, schemas.TRIPLES,
                     min_rows_per_file=200_000)
         # pruned re-read: the exchange never touches url/document_ref/
         # raw surfaces — those columns stay on disk for evidence_view
-        tri = read_parquet_fast(tri_dir, columns=CANON_COLS)
-    nodes, edges = graph_tables(tri, num_buckets)
-    if mode == "fused":
-        # graph_tables materialized the exchange, so every upstream
-        # task (and its inline checkpoint write) has completed —
-        # promote the tmp dir atomically, exactly like write_table
-        if not any(f.endswith(".parquet") for f in os.listdir(fused_tmp)):
-            pq.write_table(schemas.TRIPLES.empty_table(),
-                           os.path.join(fused_tmp, "empty.parquet"))
-        _commit_dir(fused_tmp, tri_dir)
-    write_table(nodes, os.path.join(out_dir, "nodes"), schemas.NODES)
-    # per-predicate hive partitioning (SURVEY §7.1 step 6) lets
-    # predicate-filtered queries prune whole directories; off by default
-    # because hive-partitioned dirs change the raw file layout
-    write_table(edges, os.path.join(out_dir, "edges"), schemas.EDGES,
-                partition_cols=["predicate"]
-                if partition_edges_by_predicate else None)
+        tri = read_parquet_fast(part, columns=CANON_COLS)
+    nodes, edges = graph_tables(tri, nb)
+    # graph_tables materialized the exchange, so every upstream task
+    # (and a fused run's inline checkpoint writes) has completed
+    if not any(f.endswith(".parquet") for f in os.listdir(part)):
+        pq.write_table(schemas.TRIPLES.empty_table(),
+                       os.path.join(part, "empty.parquet"))
+    _commit_dir(tri_tmp, tri_dir)
+    publish_build(out_dir, nodes, edges, applied=[inc], num_buckets=nb,
+                  seed=seed)
     counts = {name: _dir_num_rows(os.path.join(out_dir, name))
               for name in ("triples", "nodes", "edges")}
     counts["evidence"] = counts["triples"]
@@ -425,18 +457,21 @@ def run_kg_resumable(pages_files: list[str], out_dir: str, *,
     Phase A (per-partition, embarrassingly parallel, checkpointed): for
     each group of ``files_per_partition`` input files whose partition is
     not yet in the manifest, run normalize→extract→link and write
-    ``out_dir/triples/part=<k>/`` + an atomic manifest entry with
-    lineage and metrics.  A killed run reruns only missing partitions.
-    Grouping matters: each partition is a full (cheap-but-not-free)
-    Ray execution, so 10k input shards as 10k partitions would pay 10k
-    executor startups; ~8 files per partition keeps restart granularity
-    fine while amortizing that overhead.
+    ``out_dir/triples/increment=part-<k>/`` + an atomic manifest entry
+    with lineage and metrics.  A killed run reruns only missing
+    partitions.  Grouping matters: each partition is a full
+    (cheap-but-not-free) Ray execution, so 10k input shards as 10k
+    partitions would pay 10k executor startups; ~8 files per partition
+    keeps restart granularity fine while amortizing that overhead.
 
     Phase B (global shuffle, idempotent): canonicalize from ALL
-    completed triple partitions and (re)write nodes/edges.
+    completed triple partitions and publish nodes/edges as the same
+    bucketed store ``run_kg`` builds (ledger ``applied`` = the
+    partition ids), so ``ingest_increment`` extends it like any other.
     Safe to repeat — content-hash identities make it a pure function of
     the triples table.
     """
+    from .increment import publish_build
     tri_root = os.path.join(out_dir, "triples")
     man = Manifest(tri_root)
     alias_ref = broadcast_alias_map(seed)
@@ -454,34 +489,31 @@ def run_kg_resumable(pages_files: list[str], out_dir: str, *,
         if man.done_with_inputs(pid, group):
             continue
         started = time.time()
-        part_dir = os.path.join(tri_root, f"part={i:05d}")
+        part_dir = os.path.join(tri_root, f"increment={pid}")
         pages = rd.read_parquet(group)
         tri = linked_triples(pages, alias_ref, link_concurrency)
         write_table(tri, part_dir, schemas.TRIPLES)  # idempotent even if a prior write died mid-flight
-        rows_out = sum(f.metadata.num_rows for f in (
-            pq.ParquetFile(os.path.join(part_dir, n))
-            for n in os.listdir(part_dir)))
         man.commit(pid, inputs=group, outputs=[part_dir],
                    rows_in=sum(pq.ParquetFile(p).metadata.num_rows
                                for p in group),
-                   rows_out=rows_out, started=started)
+                   rows_out=_dir_num_rows(part_dir), started=started)
 
     # only manifest-committed partitions OF THIS RUN'S GROUPING feed the
     # shuffle phase (stale entries from a previous, differently-grouped
     # run would double-ingest their files)
     valid = {f"part-{i:05d}" for i in range(len(groups))}
-    part_dirs = [e["outputs"][0] for pid, e in man.completed().items()
-                 if pid in valid]
+    done = {pid: e["outputs"][0] for pid, e in man.completed().items()
+            if pid in valid}
     # read_parquet expands a single dir, but a LIST of paths must be files
-    part_files = [os.path.join(d, f) for d in part_dirs
+    part_files = [os.path.join(d, f) for d in done.values()
                   for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
     tri = read_parquet_fast(part_files, columns=CANON_COLS)
-    counts = {}
+    nb = resolve_buckets(num_buckets)
     # ONE kind-tagged exchange for both tables (same plan as run_kg)
-    nodes, edges = graph_tables(tri, num_buckets)
-    write_table(nodes, os.path.join(out_dir, "nodes"), schemas.NODES)
-    write_table(edges, os.path.join(out_dir, "edges"), schemas.EDGES)
-    for name in ("nodes", "edges"):
-        counts[name] = _dir_num_rows(os.path.join(out_dir, name))
-    counts["evidence"] = sum(_dir_num_rows(d) for d in part_dirs)
+    nodes, edges = graph_tables(tri, nb)
+    publish_build(out_dir, nodes, edges, applied=sorted(done),
+                  num_buckets=nb, seed=seed)
+    counts = {name: _dir_num_rows(os.path.join(out_dir, name))
+              for name in ("nodes", "edges")}
+    counts["evidence"] = sum(_dir_num_rows(d) for d in done.values())
     return counts

@@ -43,23 +43,18 @@ class GraphStore:
     def __init__(self, out_dir: str):
         self.nodes_path = os.path.join(out_dir, "nodes")
         self.edges_path = os.path.join(out_dir, "edges")
-        # evidence is served from a materialized dir when present, else
-        # as a pruned projection of the triples checkpoint (see
-        # pipelines.kg.evidence_view)
-        ev = os.path.join(out_dir, "evidence")
-        self.evidence_path = ev if os.path.isdir(ev) \
-            else os.path.join(out_dir, "triples")
-        # incremental stores (pipelines/increment.py) are hive-
-        # partitioned by shuffle bucket; prune the partition column at
-        # every read so the query surface sees the canonical schema
-        self._incremental = os.path.exists(
-            os.path.join(self.edges_path, "_applied.json"))
+        # evidence is a pruned projection of the triples checkpoint
+        # (see pipelines.kg.evidence_view)
+        self.evidence_path = os.path.join(out_dir, "triples")
 
-    def _read_nodes(self, flt=None, columns=None):
-        if columns is None and self._incremental:
-            columns = [f.name for f in schemas.NODES]
+    # the store's tables are hive-partitioned by bucket
+    # (pipelines/increment.py); every read names its columns, so the
+    # partition column is pruned and the query surface sees the
+    # canonical schema
+
+    def _read_nodes(self, flt=None):
         return rd.read_parquet(self.nodes_path, filter=flt,
-                               columns=columns)
+                               columns=schemas.NODES.names)
 
     # ---------------------------------------------------------- lookups
 
@@ -100,50 +95,13 @@ class GraphStore:
     # -------------------------------------------------------- neighbors
 
     def _read_edges(self, *, predicates: list[str] | None = None, flt=None):
-        """Layout-aware edges read.
-
-        Flat layout: predicate filter pushed into the parquet scan.
-        Hive layout (``edges/predicate=<p>/``): prune by DIRECTORY —
-        only the requested predicates' subtrees are read at all, and the
-        partition column is restored as a constant column (Ray's filter
-        pushdown cannot bind partition-only fields)."""
-        subdirs = [d for d in os.listdir(self.edges_path)
-                   if d.startswith("predicate=")] \
-            if os.path.isdir(self.edges_path) else []
-        if not subdirs:
-            if predicates:
-                p = pc.field("predicate").isin(predicates)
-                flt = p if flt is None else flt & p
-            cols = None
-            if self._incremental:
-                cols = [f.name for f in schemas.EDGES]
-            return rd.read_parquet(self.edges_path, filter=flt,
-                                   columns=cols)
-        wanted = predicates or [d.split("=", 1)[1] for d in subdirs]
-        parts = []
-        for pred in wanted:
-            d = os.path.join(self.edges_path, f"predicate={pred}")
-            if not os.path.isdir(d):
-                continue
-            ds = rd.read_parquet(d, filter=flt)
-
-            def restore(t: pa.Table, pred=pred) -> pa.Table:
-                # Ray may or may not have derived the partition column
-                # from the path; normalize to a plain string column
-                col = pa.array([pred] * t.num_rows, type=pa.string())
-                if "predicate" in t.column_names:
-                    return t.set_column(
-                        t.schema.get_field_index("predicate"),
-                        "predicate", col)
-                return t.append_column("predicate", col)
-            parts.append(ds.map_batches(restore, batch_format="pyarrow"))
-        if not parts:
-            raise FileNotFoundError(
-                f"no edge partitions for predicates={predicates}")
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.union(p)
-        return out
+        """Edges read with the predicate filter pushed into the parquet
+        scan."""
+        if predicates:
+            p = pc.field("predicate").isin(predicates)
+            flt = p if flt is None else flt & p
+        return rd.read_parquet(self.edges_path, filter=flt,
+                               columns=schemas.EDGES.names)
 
     def neighbors(self, node_id: str, *, predicates: list[str] | None = None,
                   direction: str = "both"):
@@ -761,36 +719,21 @@ class GraphStore:
 
     def _delete_table_rows(self, table_path: str, id_col: str,
                            ids: list[str], schema) -> int:
-        """Remove rows by id from one table.  Flat store: full filtered
-        rewrite (atomic swap — the only option for a single-dir table).
-        Incremental store: bucket-targeted rewrite — only the bucket
-        partitions the ids hash into are read and rewritten, every
-        other bucket is hardlinked (pipelines/increment.py), so a
-        delete touches O(ids) partitions, never the whole graph."""
-        from ..pipelines.kg import write_table
-
+        """Remove rows by id from one table: a bucket-targeted rewrite
+        — only the bucket partitions the ids hash into are read and
+        rewritten, every other bucket is hardlinked
+        (pipelines/increment.py), so a delete touches O(ids)
+        partitions, never the whole graph."""
+        from ..pipelines.increment import delete_rows_bucketed
         if not ids:
             return 0
-        if self._incremental:
-            from ..pipelines.increment import delete_rows_bucketed
-            return delete_rows_bucketed(table_path, id_col, ids, schema)
-        arr = pa.array(sorted(set(ids)))
-        ref = ray.put(arr)
-        before = rd.read_parquet(table_path).count()
-
-        def fn(t: pa.Table) -> pa.Table:
-            return t.filter(pc.invert(pc.is_in(t[id_col],
-                                               value_set=ray.get(ref))))
-        remaining = rd.read_parquet(table_path).map_batches(
-            fn, batch_format="pyarrow")
-        write_table(remaining, table_path, schema)
-        return before - rd.read_parquet(table_path).count()
+        return delete_rows_bucketed(table_path, id_col, ids, schema)
 
     def delete_edges(self, edge_ids: list[str]) -> int:
         """Tombstone + compaction delete — the reference supports delete
         for a subset of edge kinds (schema/delete.graphql; keyvalue
         panics otherwise).  Here: filtered rewrite of the edges table
-        (atomic swap; bucket-targeted on an incremental store) + an
+        (atomic, bucket-targeted swap) + an
         append-only tombstone log so lineage shows WHAT was removed.
         Returns number of edges removed."""
         import json
@@ -812,9 +755,9 @@ class GraphStore:
         (/root/reference/pkg/assembler/graphql/schema/delete.graphql).
 
         One atomic rewrite per table (tmp dir + rename swap, like
-        ``delete_edges``; bucket-targeted on an incremental store — only
-        the partitions the node id and its incident edge ids hash into
-        are rewritten), with an INTENT record appended to the
+        ``delete_edges``; bucket-targeted — only the partitions the node
+        id and its incident edge ids hash into are rewritten), with an
+        INTENT record appended to the
         tombstone log before the first rewrite so a crash between the
         two swaps is detectable (intent without a matching "done") and
         replayable (the delete is idempotent); EVIDENCE IS RETAINED —
@@ -850,8 +793,7 @@ class GraphStore:
             os.fsync(f.fileno())
 
         # incident = exactly the rows a subj/obj filter would drop
-        # (single-writer contract: the table cannot change in between),
-        # so the id-targeted delete works for flat AND incremental
+        # (single-writer contract: the table cannot change in between)
         edges_removed = self._delete_table_rows(
             self.edges_path, "edge_id", incident, schemas.EDGES)
         nodes_removed = self._delete_table_rows(

@@ -66,8 +66,8 @@ def resolve_buckets(num_buckets: int | None, floor: int = 1) -> int:
 
     Exchanges fed raw rows pass ``ROW_BUCKETS`` and hash joins pass
     ``JOIN_PARTITIONS``: their reduce groups grow with the input, so
-    the floor bounds one call's share of it.  Persistent layouts pin
-    their own count (``increment.STORE_BUCKETS``)."""
+    the floor bounds one call's share of it.  A ``run_kg`` store pins
+    the count its build resolved here in its ledger, for life."""
     if num_buckets is not None:
         return num_buckets
     return max(floor, cluster_cpus())
@@ -278,16 +278,18 @@ def left_lookup_join(left, right, *, on: str, right_on: str,
 
     The distributed replacement for the "collect a dict to the driver
     and .get() per row" labeling pattern: size-aware like ``auto_join``
-    (broadcast pandas merge below the threshold, hash-partitioned
+    (broadcast Arrow lookup below the threshold, hash-partitioned
     left_outer Dataset.join above), so the lookup table can be any
-    size and nothing O(table) reaches the driver.  Right keys must be
-    unique (a duplicate key would fan out left rows)."""
+    size and nothing O(table) reaches the driver.  Both paths keep the
+    value column's Arrow type (a missed key is a null, never a float
+    upcast).  Right keys must be unique (a duplicate key would fan out
+    left rows on the join path)."""
     import ray
     right = right.materialize()
     n_right = right.count()
     if n_right == 0:
-        # an empty lookup side collects to a column-less DataFrame, so
-        # the merge path can't run; stamp the fallback directly, typed
+        # an empty lookup side collects to a column-less table, so the
+        # lookup path can't run; stamp the fallback directly, typed
         # from the right schema when the empty execution preserved one.
         # ``Schema.types`` converts a PandasBlockSchema's dtypes the way
         # a non-empty pandas block converts (``pa.from_numpy_dtype``);
@@ -304,20 +306,19 @@ def left_lookup_join(left, right, *, on: str, right_on: str,
             return t.append_column(out, val)
         return left.map_batches(stamp, batch_format="pyarrow")
     if n_right <= broadcast_threshold:
-        import pandas as pd
-        small = right.to_pandas()[[right_on, value_col]].rename(
-            columns={right_on: "__lk_key", value_col: "__lk_val"})
-        ref = ray.put(small)
+        small = pa.concat_tables(
+            ray.get(right.select_columns([right_on, value_col])
+                    .to_arrow_refs()), promote_options="default")
+        ref = ray.put((small[right_on].combine_chunks(),
+                       small[value_col].combine_chunks()))
 
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            m = batch.merge(ray.get(ref), left_on=on, right_on="__lk_key",
-                            how="left")
-            val = m.pop("__lk_val")
+        def lookup(t: pa.Table) -> pa.Table:
+            keys, vals = ray.get(ref)
+            val = vals.take(pc.index_in(t[on], value_set=keys))
             if default_from is not None:
-                val = val.fillna(m[default_from])
-            m[out] = val
-            return m.drop(columns=["__lk_key"])
-        return left.map_batches(fn, batch_format="pandas")
+                val = pc.coalesce(val, t[default_from])
+            return t.append_column(out, val)
+        return left.map_batches(lookup, batch_format="pyarrow")
 
     def project(t: pa.Table) -> pa.Table:
         return pa.table({"__lk_key": t[right_on], "__lk_val": t[value_col]})

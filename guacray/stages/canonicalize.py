@@ -16,16 +16,18 @@ shuffle, expressed as a two-phase aggregation:
     counts).  This is the skew defence: a head entity
     appearing in 10% of all pages still contributes at most one row per
     block to the shuffle, so no reducer sees the raw hot-key volume.
-  phase 2 (``agg.exchange``): an explicit hash-bucket column
-    (``agg.bucket_of``: pandas siphash of the key, mod B) + coalesce +
+  phase 2 (``agg.exchange``): an explicit bucket column + coalesce +
     ``groupby("bucket").map_groups`` — one vectorized merge per
-    bucket, B = one bucket per cluster CPU (``agg.resolve_buckets``),
-    so each exchange stage is one task per CPU.  Using B coarse buckets
-    instead of per-key groups keeps the reduce side vectorized (pyarrow
-    group_by inside each bucket) rather than one Python call per key;
-    coalescing combiner outputs first keeps the sort shuffle from
-    paying #blocks² transfers.  The persistent store's bucket count is
-    a separate, ledger-pinned number (``increment.STORE_BUCKETS``).
+    bucket, B = one bucket per cluster CPU by default
+    (``agg.resolve_buckets``), so each exchange stage is one task per
+    CPU.  The bucket is the store's PERSISTENT one
+    (``functions.hashing.bucket_of_hexid`` of the content-hash key,
+    mod B): ``run_kg`` pins B in the store ledger, so each reduce
+    group is exactly one store bucket and publishes one file per
+    table.  Using B coarse buckets instead of per-key groups keeps the
+    reduce side vectorized (pyarrow group_by inside each bucket)
+    rather than one Python call per key; coalescing combiner outputs
+    first keeps the sort shuffle from paying #blocks² transfers.
     ``graph_tables`` shares ONE exchange between the nodes and edges
     dedups (kind-tagged rows) — half the passes of running them apart.
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions.hashing import bucket_of_hexid
 from ..functions.keys import edge_id as _edge_id
 from ..functions.keys import node_id as _node_id
 from ..functions.keys import node_qualifiers
@@ -174,7 +177,7 @@ def _combined_partial(batch: pa.Table, num_buckets: int) -> pa.Table:
     })
     t = _combined_merge(pa.concat_tables(
         [node_rows("subj"), node_rows("obj"), edges]))
-    return t.append_column("bucket", bucket_of(t, ["key"], num_buckets))
+    return t.append_column("bucket", bucket_of_hexid(t["key"], num_buckets))
 
 
 def _combined_merge(group: pa.Table) -> pa.Table:

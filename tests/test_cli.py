@@ -100,7 +100,7 @@ def test_cli_incremental_ingest(tmp_path, capsys):
     pq.write_table(t.slice(0, 128), a)
     pq.write_table(t.slice(128), b)
     store = str(tmp_path / "inc_store")
-    assert main(["ingest-init", a, store]) == 0
+    assert main(["ingest", a, store]) == 0
     r0 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert main(["ingest-add", b, store]) == 0
     r1 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])

@@ -2,22 +2,21 @@
 work, fetched documents ingest as increments (reference flow:
 ingestor.go:189-201 feed + collectsub.proto:21-58 service)."""
 
-import os
 
 import pyarrow.parquet as pq
-import ray.data as rd
 
 from guacray.data.pages import generate_pages
 from guacray.pipelines.collect import (dispatchable, pending_identifiers,
                                        run_collect_loop)
-from guacray.pipelines.increment import init_incremental, read_graph_table
+from guacray.pipelines.increment import read_graph_table
+from guacray.pipelines.kg import run_kg
 
 
 def _store(tmp_path, n=256):
     p = str(tmp_path / "pages.parquet")
     pq.write_table(generate_pages(n, seed=42), p)
     store = str(tmp_path / "store")
-    init_incremental(p, store, num_buckets=8)
+    run_kg(p, store, num_buckets=8)
     return store
 
 
@@ -50,7 +49,7 @@ def test_collect_loop_discovers_and_ingests(tmp_path):
     assert all(id2type[o] in ("org", "place") for o in prof["obj_id"])
 
     # evidence rows carry the synthesized documents' provenance
-    ev = rd.read_parquet(os.path.join(store, "triples")).to_pandas()
+    ev = read_graph_table(store, "triples").to_pandas()
     assert ev["url"].str.startswith("https://profiles.example/").any()
 
     # fixpoint: rerunning discovers nothing and refetches nothing

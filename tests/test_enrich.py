@@ -8,27 +8,25 @@ import pandas as pd
 import ray.data as rd
 import pytest
 
-from guacray import schemas
 from guacray.pipelines.enrich import (ENRICH_PREDICATE, run_enrichment)
-from guacray.pipelines.kg import write_table, kg_datasets
+from guacray.pipelines.increment import read_graph_table
+from guacray.pipelines.kg import run_kg
 
 
 @pytest.fixture()
-def graph_dir(small_pages, tmp_path):
+def graph_dir(small_pages_path, tmp_path):
     d = str(tmp_path / "graph")
-    out = kg_datasets(rd.from_arrow(small_pages))
-    write_table(out["nodes"], os.path.join(d, "nodes"), schemas.NODES)
-    write_table(out["edges"], os.path.join(d, "edges"), schemas.EDGES)
+    run_kg(small_pages_path, d)
     return d
 
 
 def _edges(d):
-    return rd.read_parquet(os.path.join(d, "edges")).to_pandas()
+    return read_graph_table(d, "edges").to_pandas()
 
 
 def test_enrichment_loop(graph_dir):
     n_before = len(_edges(graph_dir))
-    n_orgs = len(rd.read_parquet(os.path.join(graph_dir, "nodes"))
+    n_orgs = len(read_graph_table(graph_dir, "nodes")
                  .to_pandas().query("node_type == 'org'"))
 
     r1 = run_enrichment(graph_dir, node_type="org", now=1000.0)
@@ -38,7 +36,7 @@ def test_enrichment_loop(graph_dir):
     assert len(enr) == n_orgs  # one category edge per org
     assert len(edges) == n_before + n_orgs
     # category nodes were fed back into the nodes table
-    nodes = rd.read_parquet(os.path.join(graph_dir, "nodes")).to_pandas()
+    nodes = read_graph_table(graph_dir, "nodes").to_pandas()
     assert (nodes["node_type"] == "category").sum() >= 1
 
     # immediate rerun: everything fresh → nothing scanned, graph stable
@@ -59,13 +57,11 @@ def test_enrichment_loop(graph_dir):
 
 
 def test_enrichment_on_partitioned_layout(small_pages_path, tmp_path):
-    """Certifier pass works when edges are hive-partitioned by
-    predicate (dictionary-typed partition column on read)."""
-    import ray.data as rd
-    from guacray.pipelines.kg import run_kg
+    """Certifier pass works on a default ``run_kg`` build, whose tables
+    are hive-partitioned by bucket."""
     d = str(tmp_path / "gpart")
-    run_kg(small_pages_path, d, partition_edges_by_predicate=True)
-    before = rd.read_parquet(os.path.join(d, "edges")).count()
+    run_kg(small_pages_path, d)
+    before = read_graph_table(d, "edges").count()
     r = run_enrichment(d, node_type="org", now=5000.0)
     assert r["scanned"] > 0
     assert r["edges_total"] == before + r["scanned"]
@@ -82,7 +78,7 @@ def test_vuln_certifier_negative_evidence(graph_dir):
                                           SCANNER_PROPS, VULN_PREDICATE)
     from guacray.query.graph import GraphStore
 
-    n_products = len(rd.read_parquet(os.path.join(graph_dir, "nodes"))
+    n_products = len(read_graph_table(graph_dir, "nodes")
                      .to_pandas().query("node_type == 'product'"))
     # the category certifier running first must NOT mark products fresh
     run_enrichment(graph_dir, certifier="category", now=1000.0)
@@ -117,13 +113,11 @@ def test_vuln_certifier_negative_evidence(graph_dir):
 
 def test_enrichment_delta_merge_on_incremental_store(small_pages_path,
                                                      tmp_path):
-    """On an incremental store the certifier pass must merge via the
-    touched-bucket path: untouched bucket partitions keep their inodes
-    (hardlinked, never rewritten)."""
-    from guacray.pipelines.increment import init_incremental
-
+    """The certifier pass must merge via the touched-bucket path:
+    untouched bucket partitions keep their inodes (hardlinked, never
+    rewritten)."""
     store = str(tmp_path / "inc")
-    init_incremental(small_pages_path, store, num_buckets=64)
+    run_kg(small_pages_path, store, num_buckets=64)
     edges_dir = os.path.join(store, "edges")
 
     def inodes():
@@ -135,7 +129,7 @@ def test_enrichment_delta_merge_on_incremental_store(small_pages_path,
                           for f in os.listdir(d)}
         return out
 
-    n_edges_before = rd.read_parquet(edges_dir).count()
+    n_edges_before = read_graph_table(store, "edges").count()
     before = inodes()
     r = run_enrichment(store, certifier="category", now=1000.0)
     assert r["scanned"] > 0
@@ -147,7 +141,7 @@ def test_enrichment_delta_merge_on_incremental_store(small_pages_path,
     # idempotent on the incremental path too
     r2 = run_enrichment(store, certifier="category",
                         rescan_after_s=0.5, now=2000.0)
-    assert rd.read_parquet(edges_dir).count() == r["edges_total"]
+    assert read_graph_table(store, "edges").count() == r["edges_total"]
     # and the graph surface still reads clean (hive column pruned)
     from guacray.query.graph import GraphStore
     cats = GraphStore(store).nodes(node_type="category").to_pandas()

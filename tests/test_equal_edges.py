@@ -231,18 +231,18 @@ def test_delete_node_removes_incident_edges(tmp_path):
               "Acme Corp acquired Globex Corp. "
               "Globex Corp released HyperEngine.</p>", "https://x/1"),
     ])
-    out = kg_datasets(rd.from_arrow(pages))
+    import pyarrow.parquet as pq
+
+    from guacray.pipelines.increment import read_graph_table
+    from guacray.pipelines.kg import run_kg
+    pq.write_table(pages, str(tmp_path / "pages.parquet"))
     d = str(tmp_path / "g")
-    write_table(out["nodes"], os.path.join(d, "nodes"), schemas.NODES)
-    write_table(out["edges"], os.path.join(d, "edges"), schemas.EDGES)
-    write_table(out["triples"], os.path.join(d, "triples"),
-                schemas.TRIPLES)
+    run_kg(str(tmp_path / "pages.parquet"), d)
     store = GraphStore(d)
-    nodes = rd.read_parquet(store.nodes_path).to_pandas()
+    nodes = read_graph_table(d, "nodes").to_pandas()
     ids = dict(zip(nodes["name"], nodes["node_id"]))
     acme = ids["Acme Corp"]
-    n_ev_before = rd.read_parquet(
-        os.path.join(d, "triples")).count()
+    n_ev_before = read_graph_table(d, "triples").count()
 
     res = store.delete_node(acme)
     assert res["nodes_removed"] == 1
@@ -251,11 +251,10 @@ def test_delete_node_removes_incident_edges(tmp_path):
     assert store.node_by_id(acme).count() == 0
     assert store.neighbors(acme).count() == 0
     # untouched edge survives
-    rem = rd.read_parquet(store.edges_path).to_pandas()
+    rem = read_graph_table(d, "edges").to_pandas()
     assert set(rem["predicate"]) == {"released"}
     # evidence (triples checkpoint) retained
-    assert rd.read_parquet(os.path.join(d, "triples")).count() \
-        == n_ev_before
+    assert read_graph_table(d, "triples").count() == n_ev_before
     # tombstone log records node and edges
     log = [_json.loads(ln) for ln in
            open(os.path.join(d, "_tombstones.jsonl"))]

@@ -1,20 +1,18 @@
-"""Incremental ingest (pipelines/increment.py): delta merge ≡ full
-rebuild, replay is a no-op, untouched buckets are hardlinked (never
-rewritten), and n_evidence accumulates across increments — the
-streaming-upsert semantics of the reference's MergedIngest loop
-(/root/reference/pkg/ingestor/ingestor.go:90-150) on bucket-partitioned
-Parquet."""
+"""Incremental ingest (pipelines/increment.py) on the store ``run_kg``
+builds: delta merge ≡ full rebuild, replay is a no-op, untouched
+buckets are hardlinked (never rewritten), and n_evidence accumulates
+across increments — the streaming-upsert semantics of the reference's
+MergedIngest loop (/root/reference/pkg/ingestor/ingestor.go:90-150) on
+bucket-partitioned Parquet."""
 
 import os
 
 import pandas as pd
 import pyarrow.parquet as pq
 import pytest
-import ray.data as rd
 
 from guacray.data.pages import generate_pages
 from guacray.pipelines.increment import (ingest_increment,
-                                         init_incremental,
                                          read_graph_table, table_counts)
 from guacray.pipelines.kg import run_kg
 
@@ -38,17 +36,17 @@ def _table_df(ds, key):
 def test_increment_equals_full_rebuild(tmp_path):
     p = _split_pages(tmp_path)
     store, ref = str(tmp_path / "store"), str(tmp_path / "ref")
-    init_incremental(p["a"], store, num_buckets=32)
+    run_kg(p["a"], store, num_buckets=32)
     r = ingest_increment(p["b"], store)
     assert r["skipped"] is False and r["touched_edges_buckets"] > 0
     run_kg(p["full"], ref, num_buckets=32)
     for name, key in (("nodes", "node_id"), ("edges", "edge_id")):
         got = _table_df(read_graph_table(store, name), key)
-        want = _table_df(rd.read_parquet(os.path.join(ref, name)), key)
+        want = _table_df(read_graph_table(ref, name), key)
         pd.testing.assert_frame_equal(got, want)
     # evidence (triples) accumulated append-only across increments
-    tri = rd.read_parquet(os.path.join(store, "triples")).count()
-    ref_tri = rd.read_parquet(os.path.join(ref, "triples")).count()
+    tri = read_graph_table(store, "triples").count()
+    ref_tri = read_graph_table(ref, "triples").count()
     assert tri == ref_tri
 
 
@@ -56,10 +54,11 @@ def test_increment_replay_is_noop_and_counts(tmp_path):
     import json
     p = _split_pages(tmp_path, n=320, cut=256)
     store = str(tmp_path / "store")
-    init_incremental(p["a"], store)
-    # the store's bucket count is the layout constant, not the width
+    run_kg(p["a"], store)
+    # the store's bucket count is the build's exchange width
+    from guacray.stages.agg import resolve_buckets
     with open(os.path.join(store, "edges", "_applied.json")) as f:
-        assert json.load(f)["num_buckets"] == 32
+        assert json.load(f)["num_buckets"] == resolve_buckets(None)
     before = table_counts(store)
     r1 = ingest_increment(p["b"], store)
     r2 = ingest_increment(p["b"], store)  # same file list → skipped
@@ -74,7 +73,7 @@ def test_increment_replay_is_noop_and_counts(tmp_path):
     assert r3["skipped"] is False
     assert r3["nodes"] == r1["nodes"]  # same ids → no new nodes
     ev = read_graph_table(store, "edges").to_pandas()["n_evidence"].sum()
-    tri = rd.read_parquet(os.path.join(store, "triples")).count()
+    tri = read_graph_table(store, "triples").count()
     assert ev == tri
     assert before["nodes"] <= r1["nodes"]
 
@@ -82,7 +81,7 @@ def test_increment_replay_is_noop_and_counts(tmp_path):
 def test_increment_untouched_buckets_hardlinked(tmp_path):
     p = _split_pages(tmp_path, n=514, cut=512)  # 2-page delta
     store = str(tmp_path / "store")
-    init_incremental(p["a"], store, num_buckets=64)
+    run_kg(p["a"], store, num_buckets=64)
     edges_dir = os.path.join(store, "edges")
 
     def inodes():
@@ -113,7 +112,7 @@ def test_graphstore_over_incremental_store(tmp_path):
     from guacray.query.graph import GraphStore
     p = _split_pages(tmp_path, n=256, cut=128)
     store, ref = str(tmp_path / "store"), str(tmp_path / "ref")
-    init_incremental(p["a"], store, num_buckets=32)
+    run_kg(p["a"], store, num_buckets=32)
     ingest_increment(p["b"], store)
     run_kg(p["full"], ref, num_buckets=32)
     inc, bat = GraphStore(store), GraphStore(ref)
@@ -132,16 +131,14 @@ def test_graphstore_over_incremental_store(tmp_path):
     ev = inc.evidence_for_edge(n_inc["edge_id"].iloc[0]).to_pandas()
     assert list(ev.columns) == GraphStore.EVIDENCE_COLS
     assert len(ev) >= 1
-    # round 5: deletes are SUPPORTED on the incremental layout via
-    # bucket-targeted rewrites (test_delete_on_incremental_store covers
-    # the partition discipline); both store kinds converge afterwards
+    # deletes are bucket-targeted rewrites on both stores
+    # (test_delete_on_incremental_store covers the partition
+    # discipline); the two stores converge afterwards
     r_inc = inc.delete_node(seed)
     r_bat = bat.delete_node(seed)
     assert r_inc == r_bat and r_inc["nodes_removed"] == 1
     e_inc = _table_df(read_graph_table(store, "edges"), "edge_id")
-    e_bat = _table_df(
-        __import__("ray").data.read_parquet(os.path.join(ref, "edges")),
-        "edge_id")
+    e_bat = _table_df(read_graph_table(ref, "edges"), "edge_id")
     pd.testing.assert_frame_equal(e_inc, e_bat)
 
 
@@ -149,7 +146,7 @@ def test_increment_sigkill_replay_equals_clean(tmp_path):
     """Crash safety: SIGKILL an ingest_increment mid-run (right after
     its delta checkpoint appears — triples written, tables unswapped,
     ledger not yet updated), replay it, and require byte-equality with
-    a clean init+ingest.  The edges ledger is the commit marker; a
+    a clean build+ingest.  The edges ledger is the commit marker; a
     killed run must be invisible after replay."""
     import glob
     import signal
@@ -159,11 +156,11 @@ def test_increment_sigkill_replay_equals_clean(tmp_path):
 
     p = _split_pages(tmp_path, n=256, cut=128)
     clean = str(tmp_path / "clean")
-    init_incremental(p["a"], clean, num_buckets=32)
+    run_kg(p["a"], clean, num_buckets=32)
     ingest_increment(p["b"], clean)
 
     victim = str(tmp_path / "victim")
-    init_incremental(p["a"], victim, num_buckets=32)
+    run_kg(p["a"], victim, num_buckets=32)
     proc = subprocess.Popen(
         [sys.executable, "-m", "guacray.cli", "--num-cpus", "4",
          "ingest-add", p["b"], victim],
@@ -205,7 +202,7 @@ def test_bucket_hash_pinned_and_mismatch_refused(tmp_path):
 
     p = _split_pages(tmp_path, n=96, cut=64)
     store = str(tmp_path / "store")
-    init_incremental(p["a"], store, num_buckets=8)
+    run_kg(p["a"], store, num_buckets=8)
     ledger_path = os.path.join(store, "edges", "_applied.json")
     with open(ledger_path) as f:
         ledger = json.load(f)
@@ -249,18 +246,16 @@ def test_bucket_of_hexid_refuses_format_drift():
 
 
 def test_delete_on_incremental_store(tmp_path):
-    """Round-4 verdict item 6: delete_node / delete_edges on an
-    init_incremental store must rewrite ONLY the bucket partitions the
+    """Round-4 verdict item 6: delete_node / delete_edges on a
+    run_kg store must rewrite ONLY the bucket partitions the
     ids land in (untouched bucket inodes unchanged — hardlinked), keep
     the ledger intact, and leave the store ingestable."""
-    import ray.data as rd
-
     from guacray.functions.hashing import bucket_of_hexid
     from guacray.query.graph import GraphStore
 
     p = _split_pages(tmp_path, n=320, cut=256)
     store = str(tmp_path / "store")
-    init_incremental(p["a"], store, num_buckets=8)
+    run_kg(p["a"], store, num_buckets=8)
 
     edges_before = read_graph_table(store, "edges").to_pandas()
     nodes_before = read_graph_table(store, "nodes").to_pandas()
@@ -297,8 +292,8 @@ def test_delete_on_incremental_store(tmp_path):
     assert victim_node not in set(n2["node_id"])
     assert set(e2["edge_id"]) == set(after["edge_id"]) - incident
 
-    # --- malformed / unknown ids are no-ops (0 removed), matching the
-    # flat-store path — NOT a bucket_of_hexid format-guard ValueError
+    # --- malformed / unknown ids are no-ops (0 removed) — NOT a
+    # bucket_of_hexid format-guard ValueError
     s2 = GraphStore(store)
     assert s2.delete_edges(["NOT-A-HEX-ID", "short", ""]) == 0
     assert s2.delete_node("UPPERCASE-OR-BUST") == \
@@ -322,7 +317,7 @@ def test_compact_store(tmp_path):
 
     p = _split_pages(tmp_path)
     store = str(tmp_path / "store")
-    init_incremental(p["a"], store, num_buckets=32)
+    run_kg(p["a"], store, num_buckets=32)
     ingest_increment(p["b"], store)
     # first pass: a freshly merged store has multi-file buckets (one
     # file per block x increment); after it EVERY bucket is single-file,
@@ -397,7 +392,7 @@ def test_compact_store_crash_recovery(tmp_path):
 
     p = _split_pages(tmp_path)
     store = str(tmp_path / "store")
-    init_incremental(p["a"], store, num_buckets=32)
+    run_kg(p["a"], store, num_buckets=32)
     before = {n: _table_df(read_graph_table(store, n), k)
               for n, k in (("nodes", "node_id"), ("edges", "edge_id"))}
 
@@ -437,7 +432,7 @@ def test_compact_store_refuses_missing_outputs(tmp_path, monkeypatch):
 
     p = _split_pages(tmp_path)
     store = str(tmp_path / "store")
-    init_incremental(p["a"], store, num_buckets=32)
+    run_kg(p["a"], store, num_buckets=32)
     # give one bucket two files so the pass has a bucket to compact
     nd = os.path.join(store, "nodes")
     f0 = max((os.path.join(nd, b, f) for b in sorted(os.listdir(nd))
@@ -464,3 +459,85 @@ def test_compact_store_refuses_missing_outputs(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="missing"):
         increment.compact_store(store)
     assert layout() == before
+
+
+def test_run_kg_store_lifecycle(tmp_path):
+    """One store through its whole life: build page set A, rebuild the
+    same dir from page set B at another bucket count (the tables equal
+    reference_graph(B): no stale bucket rows, no stale increment
+    partition), then ingest, delete, enrich and compact it."""
+    import json
+
+    import pyarrow as pa
+
+    from guacray import schemas
+    from guacray.data.reference import reference_graph
+    from guacray.pipelines.enrich import run_enrichment
+    from guacray.pipelines.increment import compact_store
+    from guacray.query.graph import GraphStore
+    from guacray.stages.agg import resolve_buckets
+
+    pages = {}
+    for name, n, offset in (("a", 192, 0), ("b", 160, 10_000),
+                            ("c", 64, 20_000)):
+        pages[name] = generate_pages(n, url_offset=offset)
+        pq.write_table(pages[name], str(tmp_path / f"{name}.parquet"))
+    store = str(tmp_path / "store")
+
+    def expect_reference(pages_table):
+        for rows, schema, name, key in zip(
+                reference_graph(pages_table), (schemas.NODES, schemas.EDGES),
+                ("nodes", "edges"), ("node_id", "edge_id")):
+            want = pa.Table.from_pylist(rows, schema=schema).sort_by(key)
+            got = pa.Table.from_pylist(
+                read_graph_table(store, name).take_all(), schema=schema)
+            assert got.sort_by(key).equals(want), name
+
+    # --- build A, rebuild the same dir from B
+    run_kg(str(tmp_path / "a.parquet"), store, num_buckets=8)
+    run_kg(str(tmp_path / "b.parquet"), store)
+    expect_reference(pages["b"])
+    width = resolve_buckets(None)
+    for name in ("nodes", "edges"):
+        d = os.path.join(store, name)
+        with open(os.path.join(d, "_applied.json")) as f:
+            ledger = json.load(f)
+        assert ledger["num_buckets"] == width
+        buckets = [b for b in os.listdir(d) if b.startswith("bucket=")]
+        assert {int(b.split("=")[1]) for b in buckets} <= set(range(width))
+    assert os.listdir(os.path.join(store, "triples")) == \
+        [f"increment={ledger['applied'][0]}"]
+
+    # --- ingest: the store equals the batch graph of everything ingested
+    r = ingest_increment(str(tmp_path / "c.parquet"), store)
+    assert r["skipped"] is False
+    expect_reference(pa.concat_tables([pages["b"], pages["c"]]))
+
+    # --- delete_node: node gone, incident edges gone, others intact
+    edges = read_graph_table(store, "edges").to_pandas()
+    nodes = read_graph_table(store, "nodes").to_pandas()
+    victim = nodes.query("node_type == 'org'")["node_id"].iloc[0]
+    incident = set(edges[(edges["subj_id"] == victim)
+                         | (edges["obj_id"] == victim)]["edge_id"])
+    assert GraphStore(store).delete_node(victim) == \
+        {"nodes_removed": 1, "edges_removed": len(incident)}
+    edges = read_graph_table(store, "edges").to_pandas()
+    assert victim not in set(read_graph_table(store, "nodes")
+                             .to_pandas()["node_id"])
+    assert not incident & set(edges["edge_id"])
+
+    # --- enrichment merges one category edge per scanned org
+    e = run_enrichment(store, certifier="category", now=1000.0)
+    assert e["scanned"] > 0
+    assert e["edges_total"] == len(edges) + e["scanned"]
+
+    # --- compaction: every bucket one file, reads unchanged
+    before = {n: _table_df(read_graph_table(store, n), k)
+              for n, k in (("nodes", "node_id"), ("edges", "edge_id"))}
+    compact_store(store)
+    for n, k in (("nodes", "node_id"), ("edges", "edge_id")):
+        pd.testing.assert_frame_equal(
+            _table_df(read_graph_table(store, n), k), before[n])
+        for root, _, fs in os.walk(os.path.join(store, n)):
+            if os.path.basename(root).startswith("bucket="):
+                assert len(fs) == 1, root

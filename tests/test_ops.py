@@ -250,12 +250,16 @@ def test_hot_key_combiner_collapses():
     (FIXTURES.md §3.7)."""
     import pyarrow as pa
     import pyarrow.compute as pc
+    from guacray.functions.keys import node_id
     from guacray.stages.canonicalize import _combined_partial
     n = 10000
     cols = {"edge_id": ["ab12" * 8], "predicate": ["works_at"]}
-    for side, nid in (("subj", "s"), ("obj", "o")):
-        cols.update({f"{side}_id": [nid], f"{side}_key": [f"ent:org::{nid}"],
-                     f"{side}_type": ["org"], f"{side}_name": [nid]})
+    # content-hash ids: the exchange routes by the persistent bucket
+    # function, which refuses anything but lowercase hex
+    for side, name in (("subj", "s"), ("obj", "o")):
+        key = f"ent:org::{name}"
+        cols.update({f"{side}_id": [node_id(key)], f"{side}_key": [key],
+                     f"{side}_type": ["org"], f"{side}_name": [name]})
     batch = pa.table({c: pa.array(v * n) for c, v in cols.items()}) \
         .append_column("warc_ts", pa.array(
             [1000 + (i % 7) for i in range(n)],
@@ -1072,3 +1076,24 @@ def test_single_bucket_exchange_implementation():
              if re.search(r"bit_wise_and\(|resolve_buckets_pow2",
                           p.read_text())]
     assert not masks, masks
+
+
+def test_left_lookup_join_miss_keeps_int_type():
+    """A left key with no match leaves an int64 value column int64 on
+    the broadcast path (null for the miss), as on the hash-join path."""
+    import ray
+
+    from guacray.stages.agg import left_lookup_join
+    left = rd.from_arrow(pa.table({"k": pa.array(["a", "b", "c"])}))
+    right = rd.from_arrow(pa.table({
+        "node_id": pa.array(["a", "c"]),
+        "val": pa.array([1, 3], type=pa.int64())}))
+    for thr in (2_000_000, 0):  # broadcast path, then hash-join path
+        blocks = ray.get(left_lookup_join(
+            left, right, on="k", right_on="node_id", value_col="val",
+            out="out", broadcast_threshold=thr).to_arrow_refs())
+        # the hash join may add zero-row blocks with no schema
+        got = pa.concat_tables([b for b in blocks if b.num_columns])
+        assert got.schema.field("out").type == pa.int64(), thr
+        assert dict(zip(got["k"].to_pylist(), got["out"].to_pylist())) \
+            == {"a": 1, "b": None, "c": 3}, thr

@@ -123,15 +123,23 @@ def test_pagerank_missing_endpoint_edges(ray_session, driver_limit):
 
 
 def test_compact_store_refuses_flat_store(ray_session, tmp_path):
+    """Table dirs without a ledger (flat parquet, not a run_kg store)
+    are refused before any work, and left as they were."""
+    import os
+
+    import pyarrow.parquet as pq
     import pytest as _pytest
 
-    from guacray.data.pages import write_pages
+    from guacray import schemas
     from guacray.pipelines.increment import compact_store
-    from guacray.pipelines.kg import run_kg
-    write_pages(str(tmp_path / "p.parquet"), 128)
-    run_kg(str(tmp_path / "p.parquet"), str(tmp_path / "flat"))
-    with _pytest.raises(RuntimeError, match="not an incremental store"):
-        compact_store(str(tmp_path / "flat"))
+    flat = tmp_path / "flat"
+    for name, schema in (("nodes", schemas.NODES), ("edges", schemas.EDGES)):
+        os.makedirs(flat / name)
+        for i in range(2):
+            pq.write_table(schema.empty_table(), flat / name / f"{i}.parquet")
+    with _pytest.raises(FileNotFoundError, match="_applied.json"):
+        compact_store(str(flat))
+    assert sorted(os.listdir(flat / "nodes")) == ["0.parquet", "1.parquet"]
 
 
 @pytest.mark.parametrize("driver_limit", [4_000_000, 0])

@@ -85,38 +85,6 @@ def test_bucket_count_invariance(small_pages):
     pd.testing.assert_frame_equal(ea, eb[ea.columns])
 
 
-def test_partitioned_edges_by_predicate(small_pages_path, tmp_path):
-    """Hive-partitioned edge layout: same table contents, per-predicate
-    directory pruning for filtered reads (SURVEY §7.1 step 6)."""
-    import os
-    from guacray.pipelines.kg import run_kg
-    from guacray.query.graph import GraphStore
-
-    flat = str(tmp_path / "flat")
-    part = str(tmp_path / "part")
-    c1 = run_kg(small_pages_path, flat)
-    c2 = run_kg(small_pages_path, part, partition_edges_by_predicate=True)
-    assert c1 == c2
-    dirs = os.listdir(os.path.join(part, "edges"))
-    assert any(d.startswith("predicate=") for d in dirs)
-
-    e1 = rd.read_parquet(os.path.join(flat, "edges")).to_pandas()
-    e2 = rd.read_parquet(os.path.join(part, "edges")).to_pandas()
-    cols = ["edge_id", "subj_id", "predicate", "obj_id", "n_evidence"]
-    a = e1[cols].astype({"predicate": str}).sort_values("edge_id").reset_index(drop=True)
-    b = e2[cols].astype({"predicate": str}).sort_values("edge_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-
-    # predicate-filtered query works identically on both layouts
-    sa = GraphStore(flat)
-    sb = GraphStore(part)
-    from guacray.functions.keys import entity_key, node_id
-    acme = node_id(entity_key("org", "Acme Corp"))
-    na = sa.neighbors(acme, predicates=["works_at"]).to_pandas()
-    nb = sb.neighbors(acme, predicates=["works_at"]).to_pandas()
-    assert set(na["edge_id"]) == set(nb["edge_id"])
-
-
 def test_document_summary(small_pages):
     """HasSBOM.Includes analog: per-document rollup matches reference."""
     import collections
@@ -162,8 +130,10 @@ def test_pr_gate_at_larger_corpus():
 
 
 def test_checkpoint_modes_equal_outputs(small_pages_path, tmp_path):
+    import json
     import os
     import ray
+    from guacray.pipelines.increment import read_graph_table
     from guacray.pipelines.kg import run_kg
     from guacray.stages.agg import (JOIN_PARTITIONS, ROW_BUCKETS,
                                     cluster_cpus, resolve_buckets)
@@ -172,13 +142,14 @@ def test_checkpoint_modes_equal_outputs(small_pages_path, tmp_path):
         == run_kg(small_pages_path, b, checkpoint_mode="fused")
     for t, key in (("nodes", ["node_id"]), ("edges", ["edge_id"]),
                    ("triples", ["url", "edge_id"])):
-        x = rd.read_parquet(f"{a}/{t}").to_pandas() \
+        x = read_graph_table(a, t).to_pandas() \
             .sort_values(key).reset_index(drop=True)
-        y = rd.read_parquet(f"{b}/{t}").to_pandas() \
+        y = read_graph_table(b, t).to_pandas() \
             .sort_values(key).reset_index(drop=True)
         pd.testing.assert_frame_equal(x, y[x.columns])
-    # the exchange is one bucket per cluster CPU, so neither mode
-    # publishes more table files than the cluster is wide
+    # the exchange is one bucket per cluster CPU and each exchange
+    # bucket is one store bucket, so neither mode publishes more table
+    # files than the cluster is wide, nor more than one per bucket
     width = int(ray.cluster_resources()["CPU"])
     assert cluster_cpus() == resolve_buckets(None) == width
     # exchanges fed raw rows and hash joins keep their floors
@@ -187,8 +158,12 @@ def test_checkpoint_modes_equal_outputs(small_pages_path, tmp_path):
     assert resolve_buckets(3, ROW_BUCKETS) == 3
     for d in (a, b):
         for t in ("nodes", "edges"):
-            n = sum(f.endswith(".parquet") for f in os.listdir(f"{d}/{t}"))
-            assert 1 <= n <= width, (d, t, n)
+            with open(f"{d}/{t}/_applied.json") as f:
+                assert json.load(f)["num_buckets"] == width
+            per_dir = [sum(f.endswith(".parquet") for f in fs)
+                       for _, _, fs in os.walk(f"{d}/{t}")]
+            assert 1 <= sum(per_dir) <= width, (d, t, per_dir)
+            assert max(per_dir) == 1, (d, t, per_dir)
 
 
 def test_unknown_checkpoint_mode_raises(small_pages_path, tmp_path):
@@ -291,7 +266,11 @@ def test_fused_checkpoint_empty_input(tmp_path):
     out = str(tmp_path / "out")
     counts = run_kg(pages, out, checkpoint_mode="fused")
     assert counts == {"triples": 0, "nodes": 0, "edges": 0, "evidence": 0}
-    assert pq.read_table(f"{out}/triples").schema.equals(schemas.TRIPLES)
+    for t, schema in (("triples", schemas.TRIPLES), ("nodes", schemas.NODES),
+                      ("edges", schemas.EDGES)):
+        # the files themselves, without the hive partition column
+        got = pq.read_table(f"{out}/{t}", partitioning=None)
+        assert got.num_rows == 0 and got.schema.equals(schema), t
 
 
 def test_auto_checkpoint_mode_dispatch():

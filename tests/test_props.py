@@ -135,13 +135,10 @@ def test_edge_id_props_in_identity():
 
 def test_version_range_query_and_hive_props_filter(tmp_path):
     """depversion range matching on the qualifiers column, and props
-    filters over the hive-partitioned edges layout."""
-    import os
+    filters over the hive (bucket-partitioned) store layout."""
+    import pyarrow.parquet as pq
 
-    import ray.data as rd
-
-    from guacray import schemas
-    from guacray.pipelines.kg import kg_datasets, write_table
+    from guacray.pipelines.kg import run_kg
     from guacray.query.graph import GraphStore
 
     html = ("<html><body><p>Acme Corp released HyperWidget 3.0. "
@@ -149,13 +146,10 @@ def test_version_range_query_and_hive_props_filter(tmp_path):
             "Acme Corp released HyperWidget 7.2. "
             "Ada Lovelace works at Acme Corp as engineer."
             "</p></body></html>")
-    pages = _pages_table([_page(html)])
-    out = kg_datasets(rd.from_arrow(pages))
+    pages = str(tmp_path / "pages.parquet")
+    pq.write_table(_pages_table([_page(html)]), pages)
     d = str(tmp_path / "g")
-    write_table(out["nodes"], os.path.join(d, "nodes"), schemas.NODES)
-    # HIVE layout: per-predicate directory partitioning
-    write_table(out["edges"], os.path.join(d, "edges"), schemas.EDGES,
-                partition_cols=["predicate"])
+    run_kg(pages, d)
     store = GraphStore(d)
 
     hit = store.nodes_in_version_range(">=3.0 <6.0").to_pandas()
@@ -164,8 +158,8 @@ def test_version_range_query_and_hive_props_filter(tmp_path):
     none = store.nodes_in_version_range(">=9.0").to_pandas()
     assert len(none) == 0
 
-    # props filter prunes to the released partition dir and still sees
-    # the props column
+    # the predicate filter is pushed into the scan and the props column
+    # is still seen
     v = store.edges_with_prop("version", predicates=["released"]) \
         .to_pandas()
     assert len(v) == 3 and set(v["predicate"]) == {"released"}

@@ -13,18 +13,15 @@ import ray.data as rd
 from guacray.data.pages import generate_pages
 from guacray.data.reference import reference_graph
 from guacray.functions.keys import entity_key, node_id
-from guacray.pipelines.kg import kg_datasets, write_table
+from guacray.pipelines.kg import run_kg, write_table
 from guacray.query.graph import GraphStore
 from guacray import schemas
 
 
 @pytest.fixture(scope="module")
-def store(small_pages, tmp_path_factory):
+def store(small_pages_path, tmp_path_factory):
     d = str(tmp_path_factory.mktemp("graph"))
-    out = kg_datasets(rd.from_arrow(small_pages))
-    write_table(out["nodes"], os.path.join(d, "nodes"), schemas.NODES)
-    write_table(out["edges"], os.path.join(d, "edges"), schemas.EDGES)
-    write_table(out["evidence"], os.path.join(d, "evidence"), schemas.EVIDENCE)
+    run_kg(small_pages_path, d)
     return GraphStore(d)
 
 
@@ -205,16 +202,16 @@ def test_pagination_cursor(store):
 def test_delete_edges_tombstone(store, small_pages, tmp_path):
     # operate on a private copy: other tests share `store`
     import shutil
-    import ray.data as rd
+    from guacray.pipelines.increment import read_graph_table
     from guacray.query.graph import GraphStore
     d = str(tmp_path / "graph_del")
     shutil.copytree(os.path.dirname(store.edges_path), d)
     s2 = GraphStore(d)
-    edges = rd.read_parquet(s2.edges_path).to_pandas()
+    edges = read_graph_table(d, "edges").to_pandas()
     victims = sorted(edges["edge_id"])[:5]
     removed = s2.delete_edges(victims)
     assert removed == 5
-    after = rd.read_parquet(s2.edges_path).to_pandas()
+    after = read_graph_table(d, "edges").to_pandas()
     assert set(after["edge_id"]) == set(edges["edge_id"]) - set(victims)
     import json
     log = open(os.path.join(d, "_tombstones.jsonl")).read().strip()

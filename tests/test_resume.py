@@ -11,9 +11,9 @@ import os
 
 import pandas as pd
 import pyarrow.parquet as pq
-import ray.data as rd
 
 from guacray.data.pages import generate_pages
+from guacray.pipelines.increment import read_graph_table
 from guacray.pipelines.kg import run_kg_resumable
 from guacray.state.manifest import Manifest
 
@@ -30,7 +30,7 @@ def _split_pages(tmp_path, n=192, parts=3):
 
 
 def _edges(out_dir):
-    df = rd.read_parquet(os.path.join(out_dir, "edges")).to_pandas()
+    df = read_graph_table(out_dir, "edges").to_pandas()
     return df.sort_values("edge_id").reset_index(drop=True)
 
 
@@ -103,3 +103,19 @@ def test_stale_partitions_excluded_after_regrouping(tmp_path):
     out2 = str(tmp_path / "out2")
     run_kg_resumable(files, out2, files_per_partition=3)
     pd.testing.assert_frame_equal(_edges(out), _edges(out2))
+
+
+def test_resumable_store_takes_increments(tmp_path):
+    """run_kg_resumable publishes the same bucketed store as run_kg:
+    its partitions share the ``increment=`` hive key, so
+    ingest_increment extends it and the triples read as one table."""
+    from guacray.pipelines.increment import ingest_increment
+    files = _split_pages(tmp_path, n=192, parts=3)
+    out = str(tmp_path / "out")
+    run_kg_resumable(files[:2], out, files_per_partition=1)
+    assert ingest_increment(files[2], out)["skipped"] is False
+    out2 = str(tmp_path / "out2")
+    run_kg_resumable(files, out2, files_per_partition=1)
+    pd.testing.assert_frame_equal(_edges(out), _edges(out2))
+    assert read_graph_table(out, "triples").count() == \
+        read_graph_table(out2, "triples").count()

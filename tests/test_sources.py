@@ -172,6 +172,7 @@ def test_attestation_fixture_into_flagship_store(tmp_path):
     dropped, and the build is deterministic (same ids across runs)."""
     from guacray.data.attest import write_attestations
     from guacray.data.pages import write_pages
+    from guacray.pipelines.increment import read_graph_table
     from guacray.pipelines.kg import run_kg
 
     pages = str(tmp_path / "pages.parquet")
@@ -180,9 +181,8 @@ def test_attestation_fixture_into_flagship_store(tmp_path):
     keys = write_attestations(att, n=24, seed=42)
     out1 = str(tmp_path / "g1")
     c1 = run_kg(pages, out1, attestations_path=att, public_keys=keys)
-    import pyarrow.parquet as pq
-    n = pq.read_table(os.path.join(out1, "nodes")).to_pandas()
-    e = pq.read_table(os.path.join(out1, "edges")).to_pandas()
+    n = read_graph_table(out1, "nodes").to_pandas()
+    e = read_graph_table(out1, "edges").to_pandas()
     idents = n[n.node_type == "identity"]
     assert len(idents) == 4                      # the 4 trusted keys
     assert all(k.startswith("key-") for k in idents["name"])
@@ -194,7 +194,7 @@ def test_attestation_fixture_into_flagship_store(tmp_path):
     out2 = str(tmp_path / "g2")
     c2 = run_kg(pages, out2, attestations_path=att, public_keys=keys)
     assert c1 == c2
-    n2 = pq.read_table(os.path.join(out2, "nodes")).to_pandas()
+    n2 = read_graph_table(out2, "nodes").to_pandas()
     assert sorted(n2["node_id"]) == sorted(n["node_id"])
 
 
