@@ -17,9 +17,13 @@ table ledger — every later writer MUST reuse it):
                      table version (an O(1) metadata op per file),
                      never read, never rewritten
 
-At 100 TB the store has thousands of bucket partitions, so a daily
-crawl increment reads and rewrites a small slice of the graph instead
-of re-shuffling all of it.
+The saving scales with the bucket count, which is the build's width
+(one bucket per CPU unless ``run_kg`` is given ``num_buckets``): at
+100 TB the store has thousands of bucket partitions, so a daily crawl
+increment reads and rewrites a small slice of the graph instead of
+re-shuffling all of it; a store built on a 2-CPU cluster has 2 buckets,
+so nearly every delta touches both and a one-id delete rewrites about
+half of a table.
 
 Merge semantics are the batch semantics: every node/edge attribute is
 a pure function of its content-hash id (so node merge is any-wins /
@@ -59,6 +63,8 @@ from .kg import (_commit_dir, _dir_num_rows, _increment_id, _input_files,
                  run_kg, write_table)
 
 LEDGER = "_applied.json"
+# GraphStore deletes' append-only log, beside the tables
+TOMBSTONES = "_tombstones.jsonl"
 # bucketed store tables → the id column their buckets hash
 ID_COLS = {"nodes": "node_id", "edges": "edge_id"}
 
@@ -198,14 +204,42 @@ def table_counts(out_dir: str) -> dict:
             for name in ("nodes", "edges")}
 
 
-def publish_build(out_dir: str, nodes, edges, *, applied: list[str],
-                  num_buckets: int, seed: int) -> None:
+def ingested_since_build(out_dir: str) -> list[str]:
+    """Increment ids the store's edges ledger lists past its build's own
+    partitions (``base``): what ``ingest_increment`` merged since the
+    last publish.  Empty for a dir that holds no store yet."""
+    d = os.path.join(out_dir, "edges")
+    if not os.path.exists(_ledger_path(d)):
+        return []
+    ledger = _read_ledger(d)
+    base = set(ledger["base"])
+    return [i for i in ledger["applied"] if i not in base]
+
+
+def publish_build(out_dir: str, nodes, edges, *, base: list[str],
+                  num_buckets: int, seed: int,
+                  increments: list[str] = ()) -> None:
     """Publish a full build's canonical nodes/edges as the bucketed
-    store, ``num_buckets`` pinned in a fresh ledger.  Every live bucket
-    counts as touched: a build carries nothing over, so a rebuild into
-    an existing store leaves no stale bucket (of this or of another
-    bucket count) behind."""
-    ledger = {"applied": applied, "num_buckets": num_buckets, "seed": seed,
+    store, ``num_buckets`` pinned in a fresh ledger.  ``base`` names the
+    build's own triples partitions and ``increments`` earlier ingests
+    the build re-read; the ledger's ``applied`` lists both and its
+    ``base`` the former, so a republish can tell them apart.  Every
+    live bucket counts as touched: a build carries no table row over,
+    so a rebuild into an existing store leaves no stale bucket (of this
+    or of another bucket count) behind.
+
+    Enrichment scan state and the tombstone log describe the previous
+    tables, whose enrichment edges and deletes a build does not
+    reproduce, so both go first: a crash before the swaps then costs a
+    full (idempotent) rescan, never a node marked scanned whose
+    enrichment edges are gone."""
+    from .enrich import _scan_state_path
+    shutil.rmtree(_scan_state_path(out_dir), ignore_errors=True)
+    tombstones = os.path.join(out_dir, TOMBSTONES)
+    if os.path.exists(tombstones):
+        os.remove(tombstones)
+    ledger = {"applied": list(base) + list(increments), "base": list(base),
+              "num_buckets": num_buckets, "seed": seed,
               "bucket_hash": BUCKET_HASH_ID}
     for name, ds, schema in (("nodes", nodes, schemas.NODES),
                              ("edges", edges, schemas.EDGES)):
@@ -233,7 +267,7 @@ def ingest_increment(pages_path, out_dir: str, *,
     """Merge new pages into an existing store (built by ``run_kg``).
 
     Only the bucket partitions the delta's content-hash ids land in are
-    read and rewritten; the rest of the graph is untouched.  Replaying
+    read and rewritten; the other buckets are hardlinked.  Replaying
     an already-applied increment (same input-file list) is a no-op.
     Returns per-phase wall times alongside the table counts (the
     metrics half of the per-partition lineage+metrics contract).

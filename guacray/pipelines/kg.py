@@ -24,6 +24,7 @@ full dataset on the driver.
 from __future__ import annotations
 
 import os
+import shutil
 import time
 
 import pyarrow.parquet as pq
@@ -52,7 +53,6 @@ def write_table(ds, out_dir: str, empty_schema=None,
     be re-read by shuffles: hundreds of tiny files make every
     downstream exchange pay #blocks² object transfers).
     """
-    import shutil
     tmp = out_dir.rstrip("/") + ".__tmp__"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
@@ -102,7 +102,6 @@ def _commit_dir(tmp: str, out_dir: str) -> None:
     A commit that died between its two renames left ``.__old__`` as the
     only copy of the live table and no ``out_dir``: roll it back before
     anything else, so the cleanup below never deletes the last copy."""
-    import shutil
     old = out_dir.rstrip("/") + ".__old__"
     if os.path.isdir(old) and not os.path.exists(out_dir):
         os.replace(old, out_dir)
@@ -359,7 +358,8 @@ def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
     persistent bucket function, so each table publishes one file per
     bucket.  A rebuild into an existing store replaces ``triples/``
     whole and swaps each table atomically, leaving no stale bucket or
-    increment partition behind.
+    increment partition behind; the old store's enrichment scan state
+    and tombstone log go with it (``publish_build``).
 
     ``checkpoint_mode`` picks how the triples checkpoint meets the
     canonical exchange (``None`` = ``_auto_checkpoint_mode``'s width
@@ -382,8 +382,6 @@ def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
     could never make progress at this width (``link_pool``) raises
     ``ValueError`` before any work too.
     """
-    import shutil
-
     from .increment import publish_build
     if checkpoint_mode not in (None, "disk", "fused"):
         raise ValueError("checkpoint_mode must be None, 'disk' or "
@@ -441,7 +439,7 @@ def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
         pq.write_table(schemas.TRIPLES.empty_table(),
                        os.path.join(part, "empty.parquet"))
     _commit_dir(tri_tmp, tri_dir)
-    publish_build(out_dir, nodes, edges, applied=[inc], num_buckets=nb,
+    publish_build(out_dir, nodes, edges, base=[inc], num_buckets=nb,
                   seed=seed)
     counts = {name: _dir_num_rows(os.path.join(out_dir, name))
               for name in ("triples", "nodes", "edges")}
@@ -465,13 +463,16 @@ def run_kg_resumable(pages_files: list[str], out_dir: str, *,
     keeps restart granularity fine while amortizing that overhead.
 
     Phase B (global shuffle, idempotent): canonicalize from ALL
-    completed triple partitions and publish nodes/edges as the same
-    bucketed store ``run_kg`` builds (ledger ``applied`` = the
-    partition ids), so ``ingest_increment`` extends it like any other.
-    Safe to repeat — content-hash identities make it a pure function of
-    the triples table.
+    completed triple partitions, plus the increments ingested into an
+    earlier publish of this store, and publish nodes/edges as the same
+    bucketed store ``run_kg`` builds (ledger ``base`` = the partition
+    ids), so ``ingest_increment`` extends it like any other.  Triples
+    partitions neither read nor listed (another grouping's, an earlier
+    build's) are removed with their manifest entries, so the evidence
+    reads count each page once.  Safe to repeat — content-hash
+    identities make it a pure function of the triples table.
     """
-    from .increment import publish_build
+    from .increment import ingested_since_build, publish_build
     tri_root = os.path.join(out_dir, "triples")
     man = Manifest(tri_root)
     alias_ref = broadcast_alias_map(seed)
@@ -504,16 +505,25 @@ def run_kg_resumable(pages_files: list[str], out_dir: str, *,
     valid = {f"part-{i:05d}" for i in range(len(groups))}
     done = {pid: e["outputs"][0] for pid, e in man.completed().items()
             if pid in valid}
+    carried = ingested_since_build(out_dir)
+    dirs = list(done.values()) + [os.path.join(tri_root, f"increment={i}")
+                                  for i in carried]
     # read_parquet expands a single dir, but a LIST of paths must be files
-    part_files = [os.path.join(d, f) for d in done.values()
+    part_files = [os.path.join(d, f) for d in dirs
                   for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
     tri = read_parquet_fast(part_files, columns=CANON_COLS)
     nb = resolve_buckets(num_buckets)
     # ONE kind-tagged exchange for both tables (same plan as run_kg)
     nodes, edges = graph_tables(tri, nb)
-    publish_build(out_dir, nodes, edges, applied=sorted(done),
-                  num_buckets=nb, seed=seed)
+    publish_build(out_dir, nodes, edges, base=sorted(done),
+                  increments=carried, num_buckets=nb, seed=seed)
+    for pid in set(man.completed()) - set(done):
+        man.drop(pid)
+    live = {os.path.basename(d) for d in dirs}
+    for name in os.listdir(tri_root):
+        if name.startswith("increment=") and name not in live:
+            shutil.rmtree(os.path.join(tri_root, name))
     counts = {name: _dir_num_rows(os.path.join(out_dir, name))
               for name in ("nodes", "edges")}
-    counts["evidence"] = sum(_dir_num_rows(d) for d in done.values())
+    counts["evidence"] = sum(_dir_num_rows(d) for d in dirs)
     return counts

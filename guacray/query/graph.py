@@ -722,8 +722,7 @@ class GraphStore:
         """Remove rows by id from one table: a bucket-targeted rewrite
         — only the bucket partitions the ids hash into are read and
         rewritten, every other bucket is hardlinked
-        (pipelines/increment.py), so a delete touches O(ids)
-        partitions, never the whole graph."""
+        (pipelines/increment.py)."""
         from ..pipelines.increment import delete_rows_bucketed
         if not ids:
             return 0
@@ -739,10 +738,11 @@ class GraphStore:
         import json
         import time as _t
 
+        from ..pipelines.increment import TOMBSTONES
+
         removed = self._delete_table_rows(self.edges_path, "edge_id",
                                           edge_ids, schemas.EDGES)
-        log = os.path.join(os.path.dirname(self.edges_path),
-                           "_tombstones.jsonl")
+        log = os.path.join(os.path.dirname(self.edges_path), TOMBSTONES)
         with open(log, "a") as f:
             f.write(json.dumps({"ts_unix": round(_t.time(), 3),
                                 "edge_ids": sorted(set(edge_ids)),
@@ -769,6 +769,8 @@ class GraphStore:
         import json
         import time as _t
 
+        from ..pipelines.increment import TOMBSTONES
+
         # collect the incident edge ids first (small: one node's edges)
         df = self.neighbors(node_id).select_columns(["edge_id"]).to_pandas()
         # an empty expansion drops its schema (no edge_id column)
@@ -782,8 +784,7 @@ class GraphStore:
         # delete_node(node_id) after a crash is idempotent, so an
         # intent with no matching "done" line is detectable AND
         # replayable.
-        log = os.path.join(os.path.dirname(self.edges_path),
-                           "_tombstones.jsonl")
+        log = os.path.join(os.path.dirname(self.edges_path), TOMBSTONES)
         with open(log, "a") as f:
             f.write(json.dumps({"ts_unix": round(_t.time(), 3),
                                 "phase": "intent",

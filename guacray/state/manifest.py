@@ -49,6 +49,13 @@ class Manifest:
         e = self.entry(partition_id)
         return e is not None and e.get("inputs") == list(inputs)
 
+    def drop(self, partition_id: str) -> None:
+        """Forget a partition (its outputs are being removed)."""
+        try:
+            os.remove(self._path(partition_id))
+        except FileNotFoundError:
+            pass
+
     def completed(self) -> dict[str, dict]:
         out = {}
         for name in sorted(os.listdir(self.dir)):

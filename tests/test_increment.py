@@ -462,10 +462,11 @@ def test_compact_store_refuses_missing_outputs(tmp_path, monkeypatch):
 
 
 def test_run_kg_store_lifecycle(tmp_path):
-    """One store through its whole life: build page set A, rebuild the
-    same dir from page set B at another bucket count (the tables equal
-    reference_graph(B): no stale bucket rows, no stale increment
-    partition), then ingest, delete, enrich and compact it."""
+    """One store through its whole life: build page set A and enrich it,
+    rebuild the same dir from page set B at another bucket count (the
+    tables equal reference_graph(B): no stale bucket rows, no stale
+    increment partition, no scan state of A's enrichment), then ingest,
+    delete, enrich and compact it."""
     import json
 
     import pyarrow as pa
@@ -493,10 +494,12 @@ def test_run_kg_store_lifecycle(tmp_path):
                 read_graph_table(store, name).take_all(), schema=schema)
             assert got.sort_by(key).equals(want), name
 
-    # --- build A, rebuild the same dir from B
+    # --- build A, enrich it, rebuild the same dir from B
     run_kg(str(tmp_path / "a.parquet"), store, num_buckets=8)
+    assert run_enrichment(store, certifier="category", now=1000.0)["scanned"]
     run_kg(str(tmp_path / "b.parquet"), store)
     expect_reference(pages["b"])
+    assert not os.path.exists(os.path.join(store, "scan_state"))
     width = resolve_buckets(None)
     for name in ("nodes", "edges"):
         d = os.path.join(store, name)
@@ -526,9 +529,11 @@ def test_run_kg_store_lifecycle(tmp_path):
                              .to_pandas()["node_id"])
     assert not incident & set(edges["edge_id"])
 
-    # --- enrichment merges one category edge per scanned org
+    # --- enrichment merges one category edge per org: A's scan state
+    #     went with the rebuild, so no org of B counts as scanned
     e = run_enrichment(store, certifier="category", now=1000.0)
-    assert e["scanned"] > 0
+    assert e["scanned"] == (read_graph_table(store, "nodes").to_pandas()
+                            ["node_type"] == "org").sum()
     assert e["edges_total"] == len(edges) + e["scanned"]
 
     # --- compaction: every bucket one file, reads unchanged

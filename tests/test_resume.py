@@ -108,14 +108,44 @@ def test_stale_partitions_excluded_after_regrouping(tmp_path):
 def test_resumable_store_takes_increments(tmp_path):
     """run_kg_resumable publishes the same bucketed store as run_kg:
     its partitions share the ``increment=`` hive key, so
-    ingest_increment extends it and the triples read as one table."""
+    ingest_increment extends it and the triples read as one table.  A
+    rerun after the ingest re-reads the increment and keeps it in the
+    ledger."""
     from guacray.pipelines.increment import ingest_increment
     files = _split_pages(tmp_path, n=192, parts=3)
     out = str(tmp_path / "out")
     run_kg_resumable(files[:2], out, files_per_partition=1)
-    assert ingest_increment(files[2], out)["skipped"] is False
+    inc = ingest_increment(files[2], out)
+    assert inc["skipped"] is False
     out2 = str(tmp_path / "out2")
     run_kg_resumable(files, out2, files_per_partition=1)
-    pd.testing.assert_frame_equal(_edges(out), _edges(out2))
+    n_triples = read_graph_table(out2, "triples").count()
+
+    def same_as_out2():
+        pd.testing.assert_frame_equal(_edges(out), _edges(out2))
+        assert read_graph_table(out, "triples").count() == n_triples
+        with open(os.path.join(out, "edges", "_applied.json")) as f:
+            assert inc["increment"] in json.load(f)["applied"]
+
+    same_as_out2()
+    assert run_kg_resumable(files[:2], out,
+                            files_per_partition=1)["evidence"] == n_triples
+    same_as_out2()
+
+
+def test_regrouping_removes_stale_partitions(tmp_path):
+    """A rerun with fewer groups removes the partitions past the new
+    group count and their manifest entries: the evidence read counts
+    each page once."""
+    files = _split_pages(tmp_path, n=192, parts=3)
+    out = str(tmp_path / "out")
+    run_kg_resumable(files, out, files_per_partition=1)
+    run_kg_resumable(files, out, files_per_partition=3)
+    tri = os.path.join(out, "triples")
+    assert sorted(n for n in os.listdir(tri) if n.startswith("increment=")) \
+        == ["increment=part-00000"]
+    assert set(Manifest(tri).completed()) == {"part-00000"}
+    out2 = str(tmp_path / "out2")
+    run_kg_resumable(files, out2, files_per_partition=3)
     assert read_graph_table(out, "triples").count() == \
         read_graph_table(out2, "triples").count()
