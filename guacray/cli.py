@@ -63,12 +63,6 @@ def main(argv: list[str] | None = None) -> int:
     ia.add_argument("pages")
     ia.add_argument("out_dir")
 
-    cp = sub.add_parser("compact",
-                        help="collapse multi-file bucket partitions of "
-                             "a store to one file each "
-                             "(reads unchanged; no-op tables untouched)")
-    cp.add_argument("out_dir")
-
     e = sub.add_parser("enrich", help="certifier pass over the graph")
     e.add_argument("out_dir")
     e.add_argument("--node-type", default="org")
@@ -128,11 +122,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd == "ingest-add":
         from .pipelines.increment import ingest_increment
         print(json.dumps(ingest_increment(args.pages, args.out_dir)))
-        return 0
-
-    if args.cmd == "compact":
-        from .pipelines.increment import compact_store
-        print(json.dumps(compact_store(args.out_dir)))
         return 0
 
     if args.cmd == "unpack":

@@ -38,7 +38,9 @@ from .. import schemas
 from ..functions.hashing import content_id
 from ..functions.keys import entity_key, node_id
 from ..stages.agg import semi_join
-from .increment import _checked_ledger, _with_bucket, merge_delta_tables
+from ..stages.canonicalize import (edge_ids_memo, edge_rows, node_rows,
+                                   with_bucket)
+from .increment import _checked_ledger, merge_rows
 from .kg import _dir_num_rows, write_table
 
 _CATEGORIES = ["alpha", "beta", "gamma", "delta", "epsilon",
@@ -284,55 +286,32 @@ def run_enrichment(out_dir: str, *, certifier: str = "category",
                                 batch_size=1024, concurrency=concurrency,
                                 num_cpus=1).materialize()
 
-    # new edge rows (n_evidence=0: derived, not page evidence;
-    # first_seen = null — enrichment is not event-timed)
-    def to_edges(t: pa.Table) -> pa.Table:
-        from ..functions.text import SYMMETRIC_PREDICATES
-        from ..stages.canonicalize import edge_ids_memo
-        # memoized minting shared with bulk ingest (add_ids_batch) —
-        # enrichment objects repeat heavily (10 categories, 1 sentinel),
-        # so the per-row blake2b collapses to dict hits; orientation
-        # rule identical so ids agree across producers
+    # new rows in the store exchange's shape: each object node, and one
+    # edge per statement (n=0: derived, not page evidence; ts = null —
+    # enrichment is not event-timed).  Edge ids are minted by the same
+    # memoized function as bulk ingest (add_ids_batch) — enrichment
+    # objects repeat heavily (10 categories, 1 sentinel), so the
+    # per-row blake2b collapses to dict hits
+    ledger = _checked_ledger(os.path.join(out_dir, "edges"))
+    nb = ledger["num_buckets"]
+
+    def to_rows(t: pa.Table) -> pa.Table:
+        n = t.num_rows
         eids = edge_ids_memo(t["subj_id"].to_pylist(),
                              t["predicate"].to_pylist(),
                              t["obj_id"].to_pylist(),
                              t["props"].to_pylist())
-        return pa.table({
-            "edge_id": pa.array(eids, type=pa.string()),
-            "subj_id": t["subj_id"], "predicate": t["predicate"],
-            "obj_id": t["obj_id"],
-            "props": t["props"],
-            "first_seen": pa.nulls(t.num_rows, type=schemas.TS),
-            "n_evidence": pa.array([0] * t.num_rows, type=pa.int64()),
-            "undirected": pa.array(
-                [p in SYMMETRIC_PREDICATES
-                 for p in t["predicate"].to_pylist()], type=pa.bool_()),
-        })
-
-    def to_nodes(t: pa.Table) -> pa.Table:
-        from ..functions.keys import node_qualifiers
-        return pa.table({
-            "node_id": t["obj_id"], "node_key": t["obj_key"],
-            "node_type": t["obj_type"],
-            "name": t["obj_name"],
-            "qualifiers": pa.array(
-                [node_qualifiers(k) for k in t["obj_key"].to_pylist()],
-                type=pa.string()),
-        })
-
-    new_edges = enriched.map_batches(to_edges, batch_format="pyarrow")
-    new_nodes = enriched.map_batches(to_nodes, batch_format="pyarrow")
+        return with_bucket(pa.concat_tables([
+            node_rows(t["obj_id"], t["obj_key"], t["obj_type"],
+                      t["obj_name"]),
+            edge_rows(pa.array(eids, type=pa.string()), t["subj_id"],
+                      t["predicate"], t["obj_id"], t["props"],
+                      pa.nulls(n, type=schemas.TS),
+                      pa.repeat(pa.scalar(0, type=pa.int64()), n))]), nb)
 
     # untouched bucket partitions are hardlinked, never read
-    ledger = _checked_ledger(os.path.join(out_dir, "edges"))
-    nb = ledger["num_buckets"]
-    merge_delta_tables(
-        out_dir,
-        new_nodes.map_batches(_with_bucket("node_id", nb),
-                              batch_format="pyarrow"),
-        new_edges.map_batches(_with_bucket("edge_id", nb),
-                              batch_format="pyarrow"),
-        dict(ledger))
+    merge_rows(out_dir, enriched.map_batches(
+        to_rows, batch_format="pyarrow").materialize(), dict(ledger))
 
     # commit scan state (atomic via write_table): union old + newly
     # scanned, keep-latest per (node, certifier) via a distributed

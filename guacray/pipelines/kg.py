@@ -32,7 +32,8 @@ import ray
 import ray.data as rd
 
 from ..stages.agg import cluster_cpus, resolve_buckets
-from ..stages.canonicalize import CANON_COLS, graph_tables
+from ..stages.canonicalize import (CANON_COLS, combined_rows,
+                                   graph_tables)
 from ..stages.extract import extract
 from ..stages.link import link, link_pool
 from ..stages.normalize import normalize
@@ -349,17 +350,18 @@ def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
     → the store under ``out_dir``: ``triples/increment=<id>/`` plus
     ``nodes/bucket=<b>/`` and ``edges/bucket=<b>/``, each table with
     its ``_applied.json`` ledger, which ``ingest_increment``,
-    ``compact_store``, ``run_enrichment`` and ``GraphStore`` deletes
-    then maintain.
+    ``run_enrichment`` and ``GraphStore`` deletes then maintain through
+    the same writer (``increment.write_store``).
 
     The store has ``num_buckets`` buckets (default: the cluster width,
     ``resolve_buckets``), pinned in the ledger for the store's life;
     the canonical exchange runs at that width and routes by the same
-    persistent bucket function, so each table publishes one file per
-    bucket.  A rebuild into an existing store replaces ``triples/``
-    whole and swaps each table atomically, leaving no stale bucket or
-    increment partition behind; the old store's enrichment scan state
-    and tombstone log go with it (``publish_build``).
+    persistent bucket function, and its reduce tasks write each
+    bucket's one node file and one edge file themselves.  A rebuild
+    into an existing store replaces ``triples/`` whole and swaps each
+    table atomically, leaving no stale bucket or increment partition
+    behind; the old store's enrichment scan state and tombstone log go
+    with it (``publish_build``).
 
     ``checkpoint_mode`` picks how the triples checkpoint meets the
     canonical exchange (``None`` = ``_auto_checkpoint_mode``'s width
@@ -368,13 +370,15 @@ def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
       "disk"  — two executions: read → normalize→extract→link (one
                 fused actor pass) → write the compacted checkpoint;
                 then re-read it pruned to ``CANON_COLS`` for the
-                combiner + ONE kind-tagged bucketed exchange.  Wins
-                wide clusters and is the resume boundary at 100 TB.
-      "fused" — ONE streaming execution: each triples block is
-                written to the checkpoint inside the same map task
-                that feeds the exchange (``_fused_checkpoint_writer``);
-                the tmp dir is promoted atomically once the exchange
-                has materialized.  Wins narrow clusters.
+                combiner + ONE kind-tagged bucketed exchange that
+                writes the tables.  Wins wide clusters and is the
+                resume boundary at 100 TB.
+      "fused" — ONE streaming execution, tables included: each
+                triples block is written to the checkpoint inside the
+                same map task that feeds the exchange
+                (``_fused_checkpoint_writer``); the tmp dir is promoted
+                atomically once the exchange has run, just before the
+                tables.  Wins narrow clusters.
 
     The evidence table is a projection view of the checkpoint
     (``evidence_view``) — no extra pass.  Returns row counts per table
@@ -432,15 +436,16 @@ def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
         # pruned re-read: the exchange never touches url/document_ref/
         # raw surfaces — those columns stay on disk for evidence_view
         tri = read_parquet_fast(part, columns=CANON_COLS)
-    nodes, edges = graph_tables(tri, nb)
-    # graph_tables materialized the exchange, so every upstream task
-    # (and a fused run's inline checkpoint writes) has completed
-    if not any(f.endswith(".parquet") for f in os.listdir(part)):
-        pq.write_table(schemas.TRIPLES.empty_table(),
-                       os.path.join(part, "empty.parquet"))
-    _commit_dir(tri_tmp, tri_dir)
-    publish_build(out_dir, nodes, edges, base=[inc], num_buckets=nb,
-                  seed=seed)
+
+    def commit_triples():
+        # the exchange has run, so every upstream task (and a fused
+        # run's inline checkpoint writes) has completed
+        if not any(f.endswith(".parquet") for f in os.listdir(part)):
+            pq.write_table(schemas.TRIPLES.empty_table(),
+                           os.path.join(part, "empty.parquet"))
+        _commit_dir(tri_tmp, tri_dir)
+    publish_build(out_dir, combined_rows(tri, nb), base=[inc],
+                  num_buckets=nb, seed=seed, before_commit=commit_triples)
     counts = {name: _dir_num_rows(os.path.join(out_dir, name))
               for name in ("triples", "nodes", "edges")}
     counts["evidence"] = counts["triples"]
@@ -514,8 +519,7 @@ def run_kg_resumable(pages_files: list[str], out_dir: str, *,
     tri = read_parquet_fast(part_files, columns=CANON_COLS)
     nb = resolve_buckets(num_buckets)
     # ONE kind-tagged exchange for both tables (same plan as run_kg)
-    nodes, edges = graph_tables(tri, nb)
-    publish_build(out_dir, nodes, edges, base=sorted(done),
+    publish_build(out_dir, combined_rows(tri, nb), base=sorted(done),
                   increments=carried, num_buckets=nb, seed=seed)
     for pid in set(man.completed()) - set(done):
         man.drop(pid)

@@ -41,6 +41,7 @@ class GraphStore:
     EVIDENCE_COLS = schemas.EVIDENCE.names
 
     def __init__(self, out_dir: str):
+        self.out_dir = out_dir
         self.nodes_path = os.path.join(out_dir, "nodes")
         self.edges_path = os.path.join(out_dir, "edges")
         # evidence is a pruned projection of the triples checkpoint
@@ -717,19 +718,8 @@ class GraphStore:
         cursor = rows["node_id"].iloc[-1] if has_next and len(rows) else None
         return rows, cursor
 
-    def _delete_table_rows(self, table_path: str, id_col: str,
-                           ids: list[str], schema) -> int:
-        """Remove rows by id from one table: a bucket-targeted rewrite
-        — only the bucket partitions the ids hash into are read and
-        rewritten, every other bucket is hardlinked
-        (pipelines/increment.py)."""
-        from ..pipelines.increment import delete_rows_bucketed
-        if not ids:
-            return 0
-        return delete_rows_bucketed(table_path, id_col, ids, schema)
-
     def delete_edges(self, edge_ids: list[str]) -> int:
-        """Tombstone + compaction delete — the reference supports delete
+        """Tombstone + rewrite delete — the reference supports delete
         for a subset of edge kinds (schema/delete.graphql; keyvalue
         panics otherwise).  Here: filtered rewrite of the edges table
         (atomic, bucket-targeted swap) + an
@@ -738,10 +728,9 @@ class GraphStore:
         import json
         import time as _t
 
-        from ..pipelines.increment import TOMBSTONES
+        from ..pipelines.increment import TOMBSTONES, delete_rows
 
-        removed = self._delete_table_rows(self.edges_path, "edge_id",
-                                          edge_ids, schemas.EDGES)
+        removed = delete_rows(self.out_dir, "edges", edge_ids)
         log = os.path.join(os.path.dirname(self.edges_path), TOMBSTONES)
         with open(log, "a") as f:
             f.write(json.dumps({"ts_unix": round(_t.time(), 3),
@@ -769,7 +758,7 @@ class GraphStore:
         import json
         import time as _t
 
-        from ..pipelines.increment import TOMBSTONES
+        from ..pipelines.increment import TOMBSTONES, delete_rows
 
         # collect the incident edge ids first (small: one node's edges)
         df = self.neighbors(node_id).select_columns(["edge_id"]).to_pandas()
@@ -795,10 +784,8 @@ class GraphStore:
 
         # incident = exactly the rows a subj/obj filter would drop
         # (single-writer contract: the table cannot change in between)
-        edges_removed = self._delete_table_rows(
-            self.edges_path, "edge_id", incident, schemas.EDGES)
-        nodes_removed = self._delete_table_rows(
-            self.nodes_path, "node_id", [node_id], schemas.NODES)
+        edges_removed = delete_rows(self.out_dir, "edges", incident)
+        nodes_removed = delete_rows(self.out_dir, "nodes", [node_id])
 
         with open(log, "a") as f:
             f.write(json.dumps({"ts_unix": round(_t.time(), 3),

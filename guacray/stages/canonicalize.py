@@ -23,13 +23,22 @@ shuffle, expressed as a two-phase aggregation:
     CPU.  The bucket is the store's PERSISTENT one
     (``functions.hashing.bucket_of_hexid`` of the content-hash key,
     mod B): ``run_kg`` pins B in the store ledger, so each reduce
-    group is exactly one store bucket and publishes one file per
-    table.  Using B coarse buckets instead of per-key groups keeps the
-    reduce side vectorized (pyarrow group_by inside each bucket)
-    rather than one Python call per key; coalescing combiner outputs
-    first keeps the sort shuffle from paying #blocks² transfers.
-    ``graph_tables`` shares ONE exchange between the nodes and edges
+    group is exactly one store bucket.  Using B coarse buckets instead
+    of per-key groups keeps the reduce side vectorized (pyarrow
+    group_by inside each bucket) rather than one Python call per key;
+    coalescing combiner outputs first keeps the sort shuffle from
+    paying #blocks² transfers.  ONE exchange serves the nodes and edges
     dedups (kind-tagged rows) — half the passes of running them apart.
+  projection (``to_nodes`` / ``to_edges``): merged rows → the two
+    canonical tables.
+
+The store's writer (``pipelines/increment.write_store``) runs phase 2
+with a reduce that projects and writes each bucket's table files
+itself; ``graph_tables`` runs the same phases and returns the tables as
+Datasets.  Every other producer of store rows — the live rows an
+increment or delete rewrites, enrichment's derived statements — builds
+them with ``node_rows`` / ``edge_rows``, so one merge and one edge
+orientation serve every write.
 
 All identities are content hashes (functions/keys.py), so the whole
 step is idempotent and order-independent: re-running, re-ingesting, or
@@ -45,6 +54,7 @@ from ..functions.hashing import bucket_of_hexid
 from ..functions.keys import edge_id as _edge_id
 from ..functions.keys import node_id as _node_id
 from ..functions.keys import node_qualifiers
+from ..schemas import TS
 from .agg import agg_by_name, bucket_of, exchange, resolve_buckets
 
 # the columns the canonicalization exchange actually consumes — readers
@@ -137,47 +147,68 @@ def with_undirected(t: pa.Table) -> pa.Table:
 # the dedup semantics are unchanged because (kind, key) partitions the
 # keyspace.
 
+def node_rows(key, node_key, node_type, name,
+              ts_type: pa.DataType = TS) -> pa.Table:
+    """Node exchange rows (kind 0): ``a``/``b``/``c`` carry the node
+    key, type and name; ``d``, ``ts`` and ``n`` are null."""
+    n = len(key)
+    return pa.table({
+        "kind": pa.repeat(pa.scalar(0, type=pa.int8()), n), "key": key,
+        "a": node_key, "b": node_type, "c": name,
+        "d": pa.nulls(n, type=pa.string()), "ts": pa.nulls(n, type=ts_type),
+        "n": pa.nulls(n, type=pa.int64())})
+
+
+def edge_rows(key, subj_id, predicate, obj_id, props, ts, n) -> pa.Table:
+    """Edge exchange rows (kind 1): ``a``/``b``/``c``/``d`` carry subject,
+    predicate, object and props, ``ts`` the first sighting and ``n`` the
+    evidence count.
+
+    Undirected edges are stored in canonical (min id first) orientation
+    — a vectorized swap that MUST happen before any merge, otherwise the
+    per-column "min" could pair a subj from one orientation with an obj
+    from the other.  props is constant within an edge_id group (it is
+    hashed into the id), so its "min" is a carry, not a choice."""
+    from ..functions.text import SYMMETRIC_PREDICATES
+    sym = pa.array(sorted(SYMMETRIC_PREDICATES))
+    swap = pc.and_(pc.is_in(predicate, value_set=sym),
+                   pc.less(obj_id, subj_id))
+    return pa.table({
+        "kind": pa.repeat(pa.scalar(1, type=pa.int8()), len(key)),
+        "key": key, "a": pc.if_else(swap, obj_id, subj_id),
+        "b": predicate, "c": pc.if_else(swap, subj_id, obj_id),
+        "d": props, "ts": ts, "n": n})
+
+
 def _combined_partial(batch: pa.Table, num_buckets: int) -> pa.Table:
     """Combiner: tag each triple's statement rows straight into the
-    exchange schema — one node row per side, one edge row — and reduce
-    them with the exchange's own merge, so a block emits ≤1 row per
-    (kind, key)."""
-    from ..functions.text import SYMMETRIC_PREDICATES
+    exchange schema — one node row per side, one edge row — reduce them
+    with the exchange's own merge, so a block emits ≤1 row per (kind,
+    key), and stamp each row's persistent store bucket."""
     n = batch.num_rows
     props = (batch["props"] if "props" in batch.column_names
              else pa.array([""] * n, type=pa.string()))
     ts_type = batch.schema.field("warc_ts").type
+    t = _combined_merge(pa.concat_tables([
+        *(node_rows(batch[f"{side}_id"], batch[f"{side}_key"],
+                    batch[f"{side}_type"], batch[f"{side}_name"], ts_type)
+          for side in ("subj", "obj")),
+        edge_rows(batch["edge_id"], batch["subj_id"], batch["predicate"],
+                  batch["obj_id"], props, batch["warc_ts"],
+                  pa.repeat(pa.scalar(1, type=pa.int64()), n))]))
+    return with_bucket(t, num_buckets)
 
-    def kind(k: int) -> pa.Array:
-        return pa.repeat(pa.scalar(k, type=pa.int8()), n)
 
-    def node_rows(side: str) -> pa.Table:
-        return pa.table({
-            "kind": kind(0), "key": batch[f"{side}_id"],
-            "a": batch[f"{side}_key"], "b": batch[f"{side}_type"],
-            "c": batch[f"{side}_name"], "d": pa.nulls(n, type=pa.string()),
-            "ts": pa.nulls(n, type=ts_type), "n": pa.nulls(n, type=pa.int64()),
-        })
-
-    # store undirected edges in canonical (min id first) orientation —
-    # vectorized swap; MUST happen before the group_by, otherwise the
-    # per-column "min" could pair a subj from one orientation with an
-    # obj from the other.  props is constant within an edge_id group (it
-    # is hashed into the id), so its "min" is a carry, not a choice.
-    sym = pa.array(sorted(SYMMETRIC_PREDICATES))
-    swap = pc.and_(pc.is_in(batch["predicate"], value_set=sym),
-                   pc.less(batch["obj_id"], batch["subj_id"]))
-    edges = pa.table({
-        "kind": kind(1), "key": batch["edge_id"],
-        "a": pc.if_else(swap, batch["obj_id"], batch["subj_id"]),
-        "b": batch["predicate"],
-        "c": pc.if_else(swap, batch["subj_id"], batch["obj_id"]),
-        "d": props, "ts": batch["warc_ts"],
-        "n": pa.repeat(pa.scalar(1, type=pa.int64()), n),
-    })
-    t = _combined_merge(pa.concat_tables(
-        [node_rows("subj"), node_rows("obj"), edges]))
-    return t.append_column("bucket", bucket_of_hexid(t["key"], num_buckets))
+def with_bucket(rows: pa.Table, num_buckets: int) -> pa.Table:
+    """Exchange rows with their PERSISTENT store bucket appended — must
+    be ``bucket_of_hexid``, never a library hash: the store layout
+    outlives the process, and a hash whose implementation could drift
+    across library versions would silently route the same id to a
+    different bucket than the live store (duplicate rows,
+    double-counted n_evidence, no error).  The ledger pins
+    BUCKET_HASH_ID and every writer refuses on mismatch."""
+    return rows.append_column("bucket",
+                              bucket_of_hexid(rows["key"], num_buckets))
 
 
 def _combined_merge(group: pa.Table) -> pa.Table:
@@ -186,45 +217,53 @@ def _combined_merge(group: pa.Table) -> pa.Table:
         ("d", "min", "d"), ("ts", "min", "ts"), ("n", "sum", "n")])
 
 
+def combined_rows(linked_ds, num_buckets: int):
+    """Linked triples → the exchange's partial rows, bucketed for a
+    ``num_buckets`` store.  batch_size=None: the combiner sees whole
+    blocks; on 1024-row default batches the per-batch dedup collapses
+    almost nothing and the exchange shuffles ~the full triple volume."""
+    return linked_ds.map_batches(
+        lambda b: _combined_partial(b, num_buckets), batch_format="pyarrow",
+        batch_size=None)
+
+
+def to_nodes(t: pa.Table) -> pa.Table:
+    """Merged exchange rows → the nodes table (kind 0 rows).  The
+    qualifiers column is a pure projection of the key (the pkg-trie
+    qualifier column of helpers/package.go:26-99), so it is computed
+    once per canonical node, after the merge."""
+    t = t.filter(pc.equal(t["kind"], pa.scalar(0, type=pa.int8())))
+    return pa.table({"node_id": t["key"], "node_key": t["a"],
+                     "node_type": t["b"], "name": t["c"],
+                     "qualifiers": pa.array(
+                         [node_qualifiers(k) for k in t["a"].to_pylist()],
+                         type=pa.string())})
+
+
+def to_edges(t: pa.Table) -> pa.Table:
+    """Merged exchange rows → the edges table (kind 1 rows)."""
+    t = t.filter(pc.equal(t["kind"], pa.scalar(1, type=pa.int8())))
+    return with_undirected(pa.table({
+        "edge_id": t["key"], "subj_id": t["a"], "predicate": t["b"],
+        "obj_id": t["c"], "props": t["d"], "first_seen": t["ts"],
+        "n_evidence": pc.cast(t["n"], pa.int64())}))
+
+
 def graph_tables(linked_ds, num_buckets: int | None = None):
-    """One exchange → (nodes Dataset, edges Dataset).
+    """One exchange → (nodes Dataset, edges Dataset), for callers that
+    consume the tables as Datasets (``kg_datasets``, the oracles); the
+    store's writer (``pipelines/increment.write_store``) runs the same
+    partial, merge and projections.
 
     The combined result is materialized (it is canonical-size — orders
     of magnitude smaller than the triples input), then the two table
     views are cheap in-memory projections.
     """
     nb = resolve_buckets(num_buckets)
-    # batch_size=None → combiner sees whole blocks; on 1024-row default
-    # batches the per-batch dedup collapses almost nothing and the
-    # exchange shuffles ~the full triple volume
-    partial = linked_ds.map_batches(
-        lambda b: _combined_partial(b, nb), batch_format="pyarrow",
-        batch_size=None)
-    combined = exchange(partial, _combined_merge, nb).materialize()
-
-    def to_nodes(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["kind"], pa.scalar(0, type=pa.int8())))
-        # qualifiers: a pure projection of the key (the pkg-trie
-        # qualifier column of helpers/package.go:26-99), so it is
-        # computed once per canonical node, after the exchange
-        return pa.table({"node_id": t["key"], "node_key": t["a"],
-                         "node_type": t["b"], "name": t["c"],
-                         "qualifiers": pa.array(
-                             [node_qualifiers(k)
-                              for k in t["a"].to_pylist()],
-                             type=pa.string())})
-
-    def to_edges(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["kind"], pa.scalar(1, type=pa.int8())))
-        return with_undirected(pa.table({
-            "edge_id": t["key"], "subj_id": t["a"],
-            "predicate": t["b"], "obj_id": t["c"],
-            "props": t["d"], "first_seen": t["ts"],
-            "n_evidence": pc.cast(t["n"], pa.int64())}))
-
-    nodes = combined.map_batches(to_nodes, batch_format="pyarrow")
-    edges = combined.map_batches(to_edges, batch_format="pyarrow")
-    return nodes, edges
+    combined = exchange(combined_rows(linked_ds, nb), _combined_merge,
+                        nb).materialize()
+    return (combined.map_batches(to_nodes, batch_format="pyarrow"),
+            combined.map_batches(to_edges, batch_format="pyarrow"))
 
 
 def document_summary(linked_ds, num_buckets: int | None = None):

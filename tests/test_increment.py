@@ -306,158 +306,173 @@ def test_delete_on_incremental_store(tmp_path):
         read_graph_table(store, "edges").to_pandas())
 
 
-def test_compact_store(tmp_path):
-    """Compaction: multi-file buckets collapse to one file, reads are
-    unchanged, single-file buckets keep their inodes (hardlinked, never
-    read), the ledger survives verbatim, and a second pass is a no-op
-    (no swap at all — inodes stable)."""
-    import json
+def _bucket_layout(store, table):
+    """{bucket: [(file, inode)]} of a store table's bucket dirs."""
+    d = os.path.join(store, table)
+    return {int(b.split("=")[1]): sorted(
+        (f, os.stat(os.path.join(d, b, f)).st_ino)
+        for f in os.listdir(os.path.join(d, b)))
+        for b in os.listdir(d) if b.startswith("bucket=")}
 
-    from guacray.pipelines.increment import compact_store
 
+def test_one_file_per_bucket_after_every_write(tmp_path):
+    """Every store write — build, ingest, enrichment, edge delete, node
+    delete — leaves each bucket dir of nodes/ and edges/ with exactly
+    one parquet file, rewrites only the buckets its ids land in (the
+    others keep their inodes), and leaves tables equal to a clean
+    rebuild or a filter of the previous tables."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from guacray.functions.hashing import bucket_of_hexid
+    from guacray.pipelines.enrich import ENRICH_PREDICATE, run_enrichment
+    from guacray.query.graph import GraphStore
+
+    p = _split_pages(tmp_path, n=320, cut=256)
+    store, ref = str(tmp_path / "store"), str(tmp_path / "ref")
+    nb = 8
+
+    def tables(where):
+        return {name: pa.Table.from_pylist(
+            read_graph_table(where, name).take_all()).sort_by(key)
+            for name, key in (("nodes", "node_id"), ("edges", "edge_id"))}
+
+    def write(step, touched):
+        """Run one write; check the layout against the buckets
+        ``touched(tables before)`` names per table."""
+        before_t = tables(store)
+        before = {n: _bucket_layout(store, n) for n in ("nodes", "edges")}
+        step()
+        expect = touched(before_t)
+        for name in ("nodes", "edges"):
+            after = _bucket_layout(store, name)
+            for b, files in after.items():
+                assert len(files) == 1 and files[0][0].endswith(".parquet"), \
+                    (name, b, files)
+            for b in set(before[name]) - expect[name]:
+                assert after[b] == before[name][b], (name, b)
+
+    def buckets(ids):
+        return set(bucket_of_hexid(list(ids), nb).to_pylist())
+
+    run_kg(p["a"], store, num_buckets=nb)
+    for name in ("nodes", "edges"):
+        assert all(len(fs) == 1
+                   for fs in _bucket_layout(store, name).values())
+
+    # ingest: the delta's ids name the touched buckets of both tables
+    def delta_buckets(_):
+        ids = pq.read_table(os.path.join(store, "triples",
+                                         f"increment={ingest['increment']}"),
+                            columns=["subj_id", "obj_id", "edge_id"])
+        t = buckets(pc.unique(pa.chunked_array(
+            ids["subj_id"].chunks + ids["obj_id"].chunks
+            + ids["edge_id"].chunks)).to_pylist())
+        return {"nodes": t, "edges": t}
+    ingest = {}
+    write(lambda: ingest.update(ingest_increment(p["b"], store)),
+          delta_buckets)
+    run_kg(p["full"], ref, num_buckets=nb)
+    assert tables(store) == tables(ref)
+
+    # enrichment: the new category nodes and edges name them
+    def enriched_buckets(before_t):
+        e = tables(store)["edges"]
+        new = e.filter(pc.invert(pc.is_in(
+            e["edge_id"], value_set=before_t["edges"]["edge_id"])))
+        t = buckets(new["edge_id"].to_pylist() + new["obj_id"].to_pylist())
+        return {"nodes": t, "edges": t}
+    write(lambda: run_enrichment(store, certifier="category", now=1000.0),
+          enriched_buckets)
+    got, want = tables(store), tables(ref)
+    derived = pc.equal(got["edges"]["predicate"], ENRICH_PREDICATE)
+    assert got["edges"].filter(pc.invert(derived)) == want["edges"]
+    assert got["nodes"].filter(pc.invert(pc.equal(
+        got["nodes"]["node_type"], "category"))) == want["nodes"]
+
+    # delete_edges: 5 ids rewrite their edges buckets only
+    victims = got["edges"]["edge_id"].to_pylist()[:5]
+    write(lambda: GraphStore(store).delete_edges(victims),
+          lambda _: {"nodes": set(), "edges": buckets(victims)})
+    after = tables(store)
+    assert after["edges"] == got["edges"].filter(pc.invert(pc.is_in(
+        got["edges"]["edge_id"], value_set=pa.array(victims))))
+    assert after["nodes"] == got["nodes"]
+
+    # delete_node: its bucket, and its incident edges' buckets
+    e = after["edges"]
+    victim = after["nodes"].filter(pc.equal(
+        after["nodes"]["node_type"], "org"))["node_id"][0].as_py()
+    incident = e.filter(pc.or_(pc.equal(e["subj_id"], victim),
+                               pc.equal(e["obj_id"], victim)))
+    write(lambda: GraphStore(store).delete_node(victim),
+          lambda _: {"nodes": buckets([victim]),
+                     "edges": buckets(incident["edge_id"].to_pylist())})
+    final = tables(store)
+    assert final["nodes"] == after["nodes"].filter(
+        pc.not_equal(after["nodes"]["node_id"], victim))
+    assert final["edges"] == e.filter(pc.invert(pc.is_in(
+        e["edge_id"], value_set=incident["edge_id"])))
+
+
+def test_write_store_clears_stale_tmp(tmp_path):
+    """A killed earlier write leaves ``<table>.__tmp__`` dirs behind;
+    the next write clears them first, so none of their files reach the
+    published tables."""
     p = _split_pages(tmp_path)
-    store = str(tmp_path / "store")
+    store, ref = str(tmp_path / "store"), str(tmp_path / "ref")
     run_kg(p["a"], store, num_buckets=32)
-    ingest_increment(p["b"], store)
-    # first pass: a freshly merged store has multi-file buckets (one
-    # file per block x increment); after it EVERY bucket is single-file,
-    # which makes the hardlink/inode assertions below actually bite
-    compact_store(store)
-
-    def bucket_files(table):
-        d = os.path.join(store, table)
-        out = {}
-        for b in os.listdir(d):
-            if b.startswith("bucket="):
-                bd = os.path.join(d, b)
-                out[b] = sorted(f for f in os.listdir(bd)
-                                if f.endswith(".parquet"))
-        return out
-
-    # fabricate the at-scale state: split one bucket's file in two
-    # (distributed merges emit one file per block x increment)
-    nd = os.path.join(store, "nodes")
-    victim = sorted(bucket_files("nodes"))[0]
-    vdir = os.path.join(nd, victim)
-    f0 = os.path.join(vdir, sorted(os.listdir(vdir))[0])
-    t = pq.read_table(f0)
-    assert len(t) >= 2, "fixture bucket too small to split"
-    pq.write_table(t.slice(0, 1), f0 + ".half1.parquet")
-    pq.write_table(t.slice(1), f0 + ".half2.parquet")
-    os.remove(f0)
-
-    before = {n: _table_df(read_graph_table(store, n), k)
-              for n, k in (("nodes", "node_id"), ("edges", "edge_id"))}
-    ledger_before = json.load(
-        open(os.path.join(nd, "_applied.json")))
-    untouched_inodes = {
-        b: os.stat(os.path.join(nd, b, fs[0])).st_ino
-        for b, fs in bucket_files("nodes").items()
-        if b != victim and len(fs) == 1}
-    assert untouched_inodes, "no single-file buckets — test can't bite"
-
-    r = compact_store(store)
-    assert r["compacted_nodes_buckets"] == 1
-
-    after_files = bucket_files("nodes")
-    assert all(len(fs) == 1 for fs in after_files.values())
-    for n in ("nodes", "edges"):
-        key = "node_id" if n == "nodes" else "edge_id"
-        pd.testing.assert_frame_equal(
-            _table_df(read_graph_table(store, n), key), before[n])
-    assert json.load(
-        open(os.path.join(nd, "_applied.json"))) == ledger_before
-    for b, ino in untouched_inodes.items():
-        assert os.stat(
-            os.path.join(nd, b, after_files[b][0])).st_ino == ino, b
-
-    # idempotent second pass: nothing multi-file left -> no swap
-    inode_compacted = os.stat(
-        os.path.join(nd, victim, after_files[victim][0])).st_ino
-    r2 = compact_store(store)
-    assert r2 == {"compacted_nodes_buckets": 0,
-                  "compacted_edges_buckets": 0}
-    assert os.stat(os.path.join(
-        nd, victim, after_files[victim][0])).st_ino == inode_compacted
-
-
-def test_compact_store_crash_recovery(tmp_path):
-    """A crash mid-compaction leaves (a) a stale .__tmp__ dir and/or
-    (b) one table compacted and the other not — both states must read
-    correctly and a re-run must recover."""
-    import json as _json
-    import shutil
-
-    from guacray.pipelines.increment import compact_store
-
-    p = _split_pages(tmp_path)
-    store = str(tmp_path / "store")
-    run_kg(p["a"], store, num_buckets=32)
-    before = {n: _table_df(read_graph_table(store, n), k)
-              for n, k in (("nodes", "node_id"), ("edges", "edge_id"))}
-
-    # partial state: only nodes compacted (crash between the two swaps)
-    compact_store(store, tables=("nodes",))
-    for n, k in (("nodes", "node_id"), ("edges", "edge_id")):
-        pd.testing.assert_frame_equal(
-            _table_df(read_graph_table(store, n), k), before[n])
-
-    # stale tmp dirs from a killed run must not poison the next one —
-    # on the table still to compact AND on the already-compact one
     stale = [os.path.join(store, f"{n}.__tmp__") for n in ("edges", "nodes")]
     for s in stale:
         os.makedirs(os.path.join(s, "bucket=0"), exist_ok=True)
         with open(os.path.join(s, "bucket=0", "garbage.parquet"),
                   "w") as f:
             f.write("not parquet")
-    r = compact_store(store)
-    assert r["compacted_nodes_buckets"] == 0  # already done
+    ingest_increment(p["b"], store)
     assert not any(os.path.exists(s) for s in stale)
+    run_kg(p["full"], ref, num_buckets=32)
     for n, k in (("nodes", "node_id"), ("edges", "edge_id")):
         pd.testing.assert_frame_equal(
-            _table_df(read_graph_table(store, n), k), before[n])
-
-    # an unknown table name fails before any work
-    with pytest.raises(ValueError, match="unknown tables.*triples"):
-        compact_store(store, tables=("nodes", "triples"))
+            _table_df(read_graph_table(store, n), k),
+            _table_df(read_graph_table(ref, n), k))
 
 
-def test_compact_store_refuses_missing_outputs(tmp_path, monkeypatch):
-    """A compaction task that returns without writing its file (e.g. it
-    ran on another node) must fail the pass before the swap: the live
-    table's files stay exactly as they were."""
-    import ray
-
+def test_write_store_refuses_missing_outputs(tmp_path, monkeypatch):
+    """A reduce task that reports a bucket file but left none (e.g. it
+    ran on another node) fails the write before any swap: the live
+    tables stay byte-for-byte as they were."""
     from guacray.pipelines import increment
 
     p = _split_pages(tmp_path)
     store = str(tmp_path / "store")
     run_kg(p["a"], store, num_buckets=32)
-    # give one bucket two files so the pass has a bucket to compact
-    nd = os.path.join(store, "nodes")
-    f0 = max((os.path.join(nd, b, f) for b in sorted(os.listdir(nd))
-              if b.startswith("bucket=")
-              for f in os.listdir(os.path.join(nd, b))),
-             key=lambda f: pq.ParquetFile(f).metadata.num_rows)
-    t = pq.read_table(f0)
-    assert len(t) >= 2, "fixture bucket too small to split"
-    pq.write_table(t.slice(0, 1), f0 + ".half1.parquet")
-    pq.write_table(t.slice(1), f0 + ".half2.parquet")
-    os.remove(f0)
 
-    def layout():  # the live tables only (a failed pass leaves a tmp dir)
-        return sorted((root, f, os.stat(os.path.join(root, f)).st_ino)
-                      for t in ("nodes", "edges")
-                      for root, _, fs in os.walk(os.path.join(store, t))
-                      for f in fs)
+    def layout():  # the live tables only (a failed write leaves tmp dirs)
+        out = []
+        for t in ("nodes", "edges"):
+            for root, _, fs in os.walk(os.path.join(store, t)):
+                for f in fs:
+                    path = os.path.join(root, f)
+                    with open(path, "rb") as fh:
+                        out.append((path, os.stat(path).st_ino, fh.read()))
+        return sorted(out)
     before = layout()
 
-    @ray.remote
-    def lost_write(files, dst, sort_col):
-        return None
-    monkeypatch.setattr(increment, "_compact_bucket", lost_write)
+    reducer = increment._bucket_reducer
+
+    def lossy_reducer(tmps):
+        reduce = reducer(tmps)
+
+        def lose_bucket_0(group):
+            out = reduce(group)
+            if group["bucket"][0].as_py() == 0:
+                os.remove(os.path.join(tmps["edges"], "bucket=0",
+                                       increment.BUCKET_FILE))
+            return out
+        return lose_bucket_0
+    monkeypatch.setattr(increment, "_bucket_reducer", lossy_reducer)
     with pytest.raises(RuntimeError, match="missing"):
-        increment.compact_store(store)
+        ingest_increment(p["b"], store)
     assert layout() == before
 
 
@@ -466,7 +481,7 @@ def test_run_kg_store_lifecycle(tmp_path):
     rebuild the same dir from page set B at another bucket count (the
     tables equal reference_graph(B): no stale bucket rows, no stale
     increment partition, no scan state of A's enrichment), then ingest,
-    delete, enrich and compact it."""
+    delete and enrich it: every bucket stays one file."""
     import json
 
     import pyarrow as pa
@@ -474,7 +489,6 @@ def test_run_kg_store_lifecycle(tmp_path):
     from guacray import schemas
     from guacray.data.reference import reference_graph
     from guacray.pipelines.enrich import run_enrichment
-    from guacray.pipelines.increment import compact_store
     from guacray.query.graph import GraphStore
     from guacray.stages.agg import resolve_buckets
 
@@ -536,10 +550,9 @@ def test_run_kg_store_lifecycle(tmp_path):
                             ["node_type"] == "org").sum()
     assert e["edges_total"] == len(edges) + e["scanned"]
 
-    # --- compaction: every bucket one file, reads unchanged
+    # --- every bucket one file, reads unchanged
     before = {n: _table_df(read_graph_table(store, n), k)
               for n, k in (("nodes", "node_id"), ("edges", "edge_id"))}
-    compact_store(store)
     for n, k in (("nodes", "node_id"), ("edges", "edge_id")):
         pd.testing.assert_frame_equal(
             _table_df(read_graph_table(store, n), k), before[n])

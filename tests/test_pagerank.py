@@ -122,24 +122,33 @@ def test_pagerank_missing_endpoint_edges(ray_session, driver_limit):
     assert got.sum() < 1.0  # leaked mass to the ghost endpoint
 
 
-def test_compact_store_refuses_flat_store(ray_session, tmp_path):
+def test_store_writers_refuse_flat_store(ray_session, tmp_path):
     """Table dirs without a ledger (flat parquet, not a run_kg store)
-    are refused before any work, and left as they were."""
+    are refused by the store's writers before any work, and left as
+    they were."""
     import os
 
     import pyarrow.parquet as pq
     import pytest as _pytest
 
     from guacray import schemas
-    from guacray.pipelines.increment import compact_store
+    from guacray.data.pages import write_pages
+    from guacray.pipelines.increment import ingest_increment
+    from guacray.query.graph import GraphStore
     flat = tmp_path / "flat"
     for name, schema in (("nodes", schemas.NODES), ("edges", schemas.EDGES)):
         os.makedirs(flat / name)
         for i in range(2):
             pq.write_table(schema.empty_table(), flat / name / f"{i}.parquet")
+    pages = str(tmp_path / "pages.parquet")
+    write_pages(pages, 8)
     with _pytest.raises(FileNotFoundError, match="_applied.json"):
-        compact_store(str(flat))
-    assert sorted(os.listdir(flat / "nodes")) == ["0.parquet", "1.parquet"]
+        ingest_increment(pages, str(flat))
+    with _pytest.raises(FileNotFoundError, match="_applied.json"):
+        GraphStore(str(flat)).delete_edges(["0123456789abcdef"])
+    for name in ("nodes", "edges"):
+        assert sorted(os.listdir(flat / name)) == ["0.parquet", "1.parquet"]
+    assert sorted(os.listdir(flat)) == ["edges", "nodes"]
 
 
 @pytest.mark.parametrize("driver_limit", [4_000_000, 0])

@@ -166,6 +166,26 @@ def test_checkpoint_modes_equal_outputs(small_pages_path, tmp_path):
             assert max(per_dir) == 1, (d, t, per_dir)
 
 
+def test_run_kg_ray_executions(small_pages_path, tmp_path, monkeypatch):
+    """A build is one Ray execution in fused mode (read → link →
+    checkpoint → exchange → bucket files) and two in disk mode (the
+    checkpoint write, then the exchange): the reduce tasks write the
+    store, so no table has a write plan of its own."""
+    from ray.data._internal.execution import streaming_executor as se
+
+    from guacray.pipelines.kg import run_kg
+    plans, execute = [], se.StreamingExecutor.execute
+
+    def counted(self, dag, *args, **kwargs):
+        plans.append(dag.name)
+        return execute(self, dag, *args, **kwargs)
+    monkeypatch.setattr(se.StreamingExecutor, "execute", counted)
+    for mode, n in (("fused", 1), ("disk", 2)):
+        plans.clear()
+        run_kg(small_pages_path, str(tmp_path / mode), checkpoint_mode=mode)
+        assert len(plans) == n, (mode, plans)
+
+
 def test_unknown_checkpoint_mode_raises(small_pages_path, tmp_path):
     """A mode outside {None, "disk", "fused"} fails at the API boundary,
     before any output is created — and so does a link pool whose
