@@ -40,9 +40,10 @@ content-hash id (min-carry), and edges additionally accumulate
 ``n_evidence`` (sum) and ``first_seen`` (min) — the live rows re-enter
 the exchange as rows of the same shape (``live_rows``).
 
-The reduce tasks write to the driver's local paths, so the store
-assumes a single node or a filesystem every node shares (as the triples
-checkpoint's ``write_parquet`` does).  A reduce that lost its file
+The reduce tasks write to local paths built by the process that calls
+``write_store``, so the store assumes a single node or a filesystem
+every node shares (as the triples checkpoint's ``write_parquet``
+does).  A reduce that lost its file
 fails the write before any swap (``write_store`` checks every reported
 file).
 
