@@ -40,7 +40,7 @@ from ..functions.keys import entity_key, node_id
 from ..stages.agg import semi_join
 from ..stages.canonicalize import (edge_ids_memo, edge_rows, node_rows,
                                    with_bucket)
-from .increment import _checked_ledger, merge_rows
+from .increment import _checked_ledger, merge_rows, touched_buckets
 from .kg import _dir_num_rows, write_table
 
 _CATEGORIES = ["alpha", "beta", "gamma", "delta", "epsilon",
@@ -276,8 +276,7 @@ def run_enrichment(out_dir: str, *, certifier: str = "category",
     # materialize pins blocks, not paths; ids stay a Dataset (never
     # collected to the driver)
     todo = todo.materialize()
-    scanned_ds = todo.select_columns(["node_id"]).materialize()
-    n_todo = scanned_ds.count()
+    n_todo = todo.count()
     if n_todo == 0:
         return {"scanned": 0,
                 "edges_total": _dir_num_rows(os.path.join(out_dir, "edges"))}
@@ -310,8 +309,8 @@ def run_enrichment(out_dir: str, *, certifier: str = "category",
                       pa.repeat(pa.scalar(0, type=pa.int64()), n))]), nb)
 
     # untouched bucket partitions are hardlinked, never read
-    merge_rows(out_dir, enriched.map_batches(
-        to_rows, batch_format="pyarrow").materialize(), dict(ledger))
+    rows = enriched.map_batches(to_rows, batch_format="pyarrow").materialize()
+    merge_rows(out_dir, rows, ledger, touched_buckets(rows))
 
     # commit scan state (atomic via write_table): union old + newly
     # scanned, keep-latest per (node, certifier) via a distributed
@@ -320,7 +319,7 @@ def run_enrichment(out_dir: str, *, certifier: str = "category",
     _STATE_SCHEMA = pa.schema([("node_id", pa.string()),
                                ("certifier", pa.string()),
                                ("last_scan_unix", pa.float64())])
-    new_state = scanned_ds.map_batches(
+    new_state = todo.map_batches(
         lambda t: pa.table({
             "node_id": t["node_id"],
             "certifier": pa.array([certifier] * t.num_rows,

@@ -22,9 +22,11 @@ later writer MUST reuse it):
                      never read, never rewritten.  So every bucket dir
                      holds exactly one file after every write, and the
                      store needs no compaction pass.
-  ingest_increment   extract+link ONLY the new pages, then hand the
-                     delta's rows plus the live rows of the buckets
-                     they land in to ``write_store``.
+  ingest_increment   run the build's page-ingest plan
+                     (``kg.checkpointed_rows``) over ONLY the new
+                     pages, then hand the delta's rows plus the live
+                     rows of the buckets they land in to
+                     ``write_store``.
 
 The saving scales with the bucket count, which is the build's width
 (one bucket per CPU unless ``run_kg`` is given ``num_buckets``): at
@@ -72,12 +74,11 @@ import ray.data as rd
 from .. import schemas
 from ..functions.hashing import BUCKET_HASH_ID, bucket_of_hexid
 from ..stages.agg import cluster_cpus, exchange
-from ..stages.canonicalize import (CANON_COLS, _combined_merge,
-                                   combined_rows, edge_rows, node_rows,
+from ..stages.canonicalize import (_combined_merge, edge_rows, node_rows,
                                    to_edges, to_nodes, with_bucket)
 from .kg import (_commit_dir, _dir_num_rows, _increment_id, _input_files,
-                 broadcast_alias_map, linked_triples, read_parquet_fast,
-                 run_kg, write_table)
+                 broadcast_alias_map, checkpointed_rows, read_parquet_fast,
+                 run_kg, seal_checkpoint)
 
 LEDGER = "_applied.json"
 # GraphStore deletes' append-only log, beside the tables
@@ -267,18 +268,20 @@ def write_store(out_dir: str, rows, ledger: dict, *,
     return written
 
 
-def merge_rows(out_dir: str, rows, ledger: dict) -> dict:
-    """Upsert new exchange ``rows`` (materialized) into the store: the
-    touched buckets are their unique ``bucket`` values, whose live rows
-    join the new ones in ``write_store``.  Returns the touched-bucket
-    count per table."""
-    touched = {r["bucket"] for r in rows.map_batches(
+def touched_buckets(rows) -> set[int]:
+    """The store buckets that exchange ``rows`` (materialized) land in:
+    their unique ``bucket`` values, in one small execution."""
+    return {r["bucket"] for r in rows.map_batches(
         lambda t: pa.table({"bucket": pc.unique(t["bucket"])}),
         batch_format="pyarrow").take_all()}
+
+
+def merge_rows(out_dir: str, rows, ledger: dict, touched: set[int]) -> None:
+    """Upsert new exchange ``rows`` into the store's ``touched``
+    buckets: their live rows join the new ones in ``write_store``."""
     live = live_rows(out_dir, touched, ledger["num_buckets"])
     write_store(out_dir, rows.union(*live) if live else rows, ledger,
                 touched=touched)
-    return {f"touched_{name}_buckets": len(touched) for name in ID_COLS}
 
 
 def read_graph_table(out_dir: str, name: str):
@@ -348,15 +351,24 @@ def _delta_pool_size(files: list[str]):
     return (1, max(1, min(cap, rows // 4096 + 1)))
 
 
-def ingest_increment(pages_path, out_dir: str, *,
-                     link_concurrency=None) -> dict:
+def ingest_increment(pages_path, out_dir: str) -> dict:
     """Merge new pages into an existing store (built by ``run_kg``).
 
+    The delta goes through the build's own plan, ``checkpointed_rows``
+    (checkpoint mode by the same width dispatch, link pool sized to the
+    delta): its partial rows are materialized — canonical-size, the
+    touched buckets' names — and its checkpoint partition
+    ``triples/increment=<id>/`` is committed before any table moves.
     Only the bucket partitions the delta's content-hash ids land in are
-    read and rewritten; the other buckets are hardlinked.  Replaying
-    an already-applied increment (same input-file list) is a no-op.
-    Returns per-phase wall times alongside the table counts (the
-    metrics half of the per-partition lineage+metrics contract).
+    then read and rewritten; the other buckets are hardlinked.  At the
+    ``fused`` width that is 3 Ray executions: the link pass with its
+    checkpoint, the touched-bucket pass and the store write.
+
+    Replaying an already-applied increment (same input-file list) is a
+    no-op.  Returns the table counts, the touched-bucket counts and
+    per-phase wall times: ``sec_extract`` (the link pass, checkpoint
+    included), ``sec_canonicalize`` (the touched-bucket pass) and
+    ``sec_merge`` (the store write).
 
     Increments are SERIAL by contract: one writer at a time per store
     (the reference's ingest loop is equally single-writer per backend).
@@ -374,37 +386,34 @@ def ingest_increment(pages_path, out_dir: str, *,
     if inc in ledger["applied"]:
         return {"increment": inc, "skipped": True, **table_counts(out_dir)}
 
-    # 1. delta triples → durable checkpoint partition (evidence grows
-    #    append-only; atomic overwrite makes a crash-rerun idempotent)
+    # 1. the delta's partial rows, stamped with the store's buckets, and
+    #    its durable checkpoint partition (evidence grows append-only;
+    #    the atomic promotion makes a crash-rerun idempotent)
     t0 = time.time()
-    alias_ref = broadcast_alias_map(seed)
-    if link_concurrency is None:
-        link_concurrency = _delta_pool_size(files)
-    tri_dir = os.path.join(out_dir, "triples", f"increment={inc}")
-    write_table(linked_triples(read_parquet_fast(files), alias_ref,
-                               link_concurrency),
-                tri_dir, schemas.TRIPLES, min_rows_per_file=200_000)
+    part = os.path.join(out_dir, "triples", f"increment={inc}")
+    tmp = part + ".__tmp__"
+    delta = checkpointed_rows(read_parquet_fast(files), tmp, nb,
+                              broadcast_alias_map(seed),
+                              link_concurrency=_delta_pool_size(files)
+                              ).materialize()
+    seal_checkpoint(tmp)
+    _commit_dir(tmp, part)
     t_extract = time.time() - t0
 
-    # 2. the delta's partial rows, stamped with the store's buckets:
-    #    materialized (canonical-size), they name the touched buckets
-    #    and then feed the merge
     t0 = time.time()
-    tri = read_parquet_fast(tri_dir, columns=CANON_COLS)
-    delta = combined_rows(tri, nb).materialize()
+    touched = touched_buckets(delta)
     t_canon = time.time() - t0
 
-    new_ledger = dict(ledger)
-    new_ledger["applied"] = ledger["applied"] + [inc]
-
-    # 3. merge into ONLY the touched buckets and publish (nodes first —
+    # 2. merge into ONLY the touched buckets and publish (nodes first —
     #    their merge is idempotent; the edges swap commits the increment)
-    stats = {"sec_extract": round(t_extract, 2),
-             "sec_canonicalize": round(t_canon, 2)}
     t0 = time.time()
-    stats.update(merge_rows(out_dir, delta, new_ledger))
-    stats["sec_merge"] = round(time.time() - t0, 2)
-    return {"increment": inc, "skipped": False, **stats,
+    merge_rows(out_dir, delta,
+               {**ledger, "applied": ledger["applied"] + [inc]}, touched)
+    return {"increment": inc, "skipped": False,
+            "sec_extract": round(t_extract, 2),
+            "sec_canonicalize": round(t_canon, 2),
+            "sec_merge": round(time.time() - t0, 2),
+            **{f"touched_{name}_buckets": len(touched) for name in ID_COLS},
             **table_counts(out_dir)}
 
 

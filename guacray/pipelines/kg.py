@@ -12,10 +12,14 @@ SURVEY.md §3.1), end to end:
       → nodes/bucket=<b>/ edges/bucket=<b>/  # assembler backend tables
         (evidence = projection view of the checkpoint)
 
-The published tables are the one store layout every writer maintains
-(``pipelines/increment.py``): one bucket per exchange bucket, the
-bucket count pinned in each table's ``_applied.json`` ledger, and the
-checkpoint under ``triples/increment=<id>/``.
+Everything up to the exchange's rows is ``checkpointed_rows``, the one
+page-ingest plan: ``run_kg`` hands a build's rows to the store writer,
+and ``ingest_increment`` (``pipelines/increment.py``) a delta's rows
+plus the live rows of the buckets they touch.  The published tables
+are the one store layout every writer maintains: one bucket per
+exchange bucket, the bucket count pinned in each table's
+``_applied.json`` ledger, and each checkpoint under
+``triples/increment=<id>/``.
 
 Everything is lazy/streaming until the writes; nothing materializes the
 full dataset on the driver.
@@ -35,7 +39,7 @@ from ..stages.agg import cluster_cpus, resolve_buckets
 from ..stages.canonicalize import (CANON_COLS, combined_rows,
                                    graph_tables)
 from ..stages.extract import extract
-from ..stages.link import link, link_pool
+from ..stages.link import link
 from ..stages.normalize import normalize
 from ..state.manifest import Manifest
 from .. import schemas
@@ -154,58 +158,6 @@ def _increment_id(files: list[str]) -> str:
     return f"inc-{h}"
 
 
-def _estimate_pages(pages_path) -> tuple[int, int]:
-    """Cheap (n_files, row estimate): shard count × rows in ONE footer
-    (this pipeline writes uniform shards).  (0, 0) = unknown
-    (non-local path)."""
-    files = _input_files(pages_path)
-    try:
-        if not files:
-            return 0, 0
-        return len(files), len(files) * pq.ParquetFile(
-            files[0]).metadata.num_rows
-    except OSError:
-        return 0, 0
-
-
-def bulk_ingest_knobs(pages_path: str, heavy_pages_per_cpu: int = 16_000,
-                      tasks_per_actor: int = 12):
-    """(pages Dataset, link_concurrency) tuned to the input size.
-
-    Two knobs flip together on the same pages-per-CPU axis (round-4
-    interleaved matrix at 32 CPUs, disk mode):
-
-    - HEAVY (≥ ~16k pages/cpu — the 1M fixture): pool floor 3·cpus/4
-      (the cpus/2 floor never ramps past ~16 actors; link phase
-      19.2→14.4 s) and the read split to ~12 tasks per actor (finer
-      tail; 23.1→19.0 s) — together ~17 → ~15.5 s e2e.
-    - LIGHT (the 262k protocol fixture, 8.2k/cpu): both knobs OFF —
-      the extra spawn+ramp and per-task overhead cost 1.5-2 s against
-      a ~7 s link phase (matrix best 10.7 s with r3 knobs vs 13.0
-      with the heavy ones).
-
-    At 8 CPUs the dispatch is inert either way: the floor formulas
-    coincide (6 actors) and 12×6=72 tasks never exceeds the shard
-    count.  Unknown sizes (non-local paths) stay LIGHT — the safe
-    interactive default.
-    """
-    from ..stages.link import default_pool_size
-    n_files, est = _estimate_pages(pages_path)
-    # read_parquet auto-inits Ray later; don't force that here just for
-    # a CPU count when called before init (tests, planning helpers)
-    cpus = cluster_cpus() if ray.is_initialized() \
-        else (os.cpu_count() or 4)
-    if not est or est / max(cpus, 1) < heavy_pages_per_cpu:
-        return read_parquet_fast(pages_path), None
-    lo, hi = default_pool_size()
-    lc = (max(lo, min(3 * cpus // 4, hi)), hi)
-    target = tasks_per_actor * hi
-    if target > n_files:
-        return read_parquet_fast(
-            pages_path, override_num_blocks=target), lc
-    return read_parquet_fast(pages_path), lc
-
-
 def _fused_checkpoint_writer(tmp_dir: str):
     """Pass-through block stage: persist each triples block to the
     checkpoint tmp dir AND emit the pruned canonicalize projection.
@@ -260,8 +212,8 @@ def linked_triples(pages_ds, alias_ref=None, link_concurrency=None):
     return link(ds, alias_ref=alias_ref, concurrency=link_concurrency)
 
 
-def kg_datasets(pages_ds, alias_ref=None, num_buckets: int | None = None,
-                link_concurrency=None) -> dict:
+def kg_datasets(pages_ds, alias_ref=None,
+                num_buckets: int | None = None) -> dict:
     """Wire the full pipeline; returns Datasets keyed by table name.
 
     nodes/edges come from ``graph_tables`` — the same kind-tagged
@@ -272,7 +224,7 @@ def kg_datasets(pages_ds, alias_ref=None, num_buckets: int | None = None,
     callers that consume every table at scale should write triples
     first and read it back (see ``run_kg``).
     """
-    triples = linked_triples(pages_ds, alias_ref, link_concurrency)
+    triples = linked_triples(pages_ds, alias_ref)
     nodes, edges = graph_tables(triples, num_buckets)
     return {
         "triples": triples,
@@ -309,7 +261,11 @@ def evidence_view(out_dir: str):
                            columns=schemas.EVIDENCE.names)
 
 
-def _auto_checkpoint_mode(cpu_threshold: int = 8) -> str:
+# the widest cluster (CPUs) whose builds checkpoint ``fused``
+FUSED_MAX_CPUS = 8
+
+
+def _auto_checkpoint_mode() -> str:
     """Pick disk vs fused checkpointing from cluster width.
 
     Round-4 interleaved A/Bs (v3 fixtures, run_kg, min-of-2 per fresh
@@ -338,12 +294,70 @@ def _auto_checkpoint_mode(cpu_threshold: int = 8) -> str:
     changes results; disk remains the wide choice and the resume
     boundary at 100 TB.
     """
-    return "fused" if cluster_cpus() <= cpu_threshold else "disk"
+    return "fused" if cluster_cpus() <= FUSED_MAX_CPUS else "disk"
+
+
+def seal_checkpoint(part: str) -> None:
+    """Give a checkpoint partition that received no rows one empty
+    canonical-schema file, so readers still see a valid table."""
+    if not any(f.endswith(".parquet") for f in os.listdir(part)):
+        pq.write_table(schemas.TRIPLES.empty_table(),
+                       os.path.join(part, "empty.parquet"))
+
+
+def checkpointed_rows(pages_ds, part: str, num_buckets: int, alias_ref, *,
+                      checkpoint_mode: str | None = None,
+                      link_concurrency=None, extra_triples=None):
+    """The one page-ingest plan: pages Dataset → the store's exchange
+    rows (``combined_rows``, bucketed for a ``num_buckets`` store), with
+    the linked triples (plus ``extra_triples``) checkpointed into
+    ``part``, a tmp dir cleared first.  ``run_kg`` and
+    ``ingest_increment`` both build through it.
+
+    normalize → extract → link run as one actor pass, then the
+    checkpoint meets the rows by ``checkpoint_mode`` (``None`` =
+    ``_auto_checkpoint_mode``'s width dispatch):
+
+      "disk"  — the checkpoint is written here (one execution) and
+                re-read pruned to ``CANON_COLS``; the rows are a fresh
+                plan over it.  Wins wide clusters and is the resume
+                boundary at 100 TB.
+      "fused" — nothing runs here: each triples block is written to
+                ``part`` inside the same map task that feeds the rows
+                (``_fused_checkpoint_writer``), so the checkpoint is
+                complete once the rows' execution has run.  Wins narrow
+                clusters.
+
+    Either way the caller runs the rows, then ``seal_checkpoint(part)``
+    and promotes the tmp dir (``_commit_dir``).
+    """
+    triples = linked_triples(pages_ds, alias_ref, link_concurrency)
+    if extra_triples is not None:
+        triples = triples.union(extra_triples)
+    shutil.rmtree(part, ignore_errors=True)
+    os.makedirs(part)
+    if (checkpoint_mode or _auto_checkpoint_mode()) == "fused":
+        # batch_size=200k: the writer coalesces the linker's many small
+        # output blocks into compacted checkpoint files (same 200k-row
+        # target as disk mode's min_rows_per_file) AND hands the
+        # downstream combiner big blocks — per-block dedup on small
+        # blocks collapses almost nothing and the exchange would
+        # shuffle ~the full triple volume (first fused A/B measured
+        # 25% SLOWER than disk for exactly this reason)
+        tri = triples.map_batches(_fused_checkpoint_writer(part),
+                                  batch_format="pyarrow",
+                                  batch_size=200_000)
+    else:
+        triples.write_parquet(part, min_rows_per_file=200_000)
+        seal_checkpoint(part)
+        # pruned re-read: the exchange never touches url/document_ref/
+        # raw surfaces — those columns stay on disk for evidence_view
+        tri = read_parquet_fast(part, columns=CANON_COLS)
+    return combined_rows(tri, num_buckets)
 
 
 def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
-           link_concurrency=None, seed: int = 42,
-           checkpoint_mode: str | None = None,
+           seed: int = 42, checkpoint_mode: str | None = None,
            attestations_path: str | None = None,
            public_keys: dict[str, bytes] | None = None) -> dict:
     """One-shot build: pages parquet (a file, a dir or a list of files)
@@ -363,40 +377,23 @@ def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
     behind; the old store's enrichment scan state and tombstone log go
     with it (``publish_build``).
 
-    ``checkpoint_mode`` picks how the triples checkpoint meets the
-    canonical exchange (``None`` = ``_auto_checkpoint_mode``'s width
-    dispatch); anything else raises ``ValueError`` before any work:
-
-      "disk"  — two executions: read → normalize→extract→link (one
-                fused actor pass) → write the compacted checkpoint;
-                then re-read it pruned to ``CANON_COLS`` for the
-                combiner + ONE kind-tagged bucketed exchange that
-                writes the tables.  Wins wide clusters and is the
-                resume boundary at 100 TB.
-      "fused" — ONE streaming execution, tables included: each
-                triples block is written to the checkpoint inside the
-                same map task that feeds the exchange
-                (``_fused_checkpoint_writer``); the tmp dir is promoted
-                atomically once the exchange has run, just before the
-                tables.  Wins narrow clusters.
+    The rows come from ``checkpointed_rows``: ``checkpoint_mode``
+    "fused" builds in ONE Ray execution (the checkpoint tmp dir is
+    promoted once the exchange has run, just before the tables),
+    "disk" in two; anything but those and ``None`` raises
+    ``ValueError`` before any work.
 
     The evidence table is a projection view of the checkpoint
     (``evidence_view``) — no extra pass.  Returns row counts per table
-    (parquet footers, no extra Ray job).  A ``link_concurrency`` that
-    could never make progress at this width (``link_pool``) raises
-    ``ValueError`` before any work too.
+    (parquet footers, no extra Ray job).
     """
     from .increment import publish_build
     if checkpoint_mode not in (None, "disk", "fused"):
         raise ValueError("checkpoint_mode must be None, 'disk' or "
                          f"'fused', got {checkpoint_mode!r}")
-    link_pool(link_concurrency)  # a pool that cannot progress fails here
     nb = resolve_buckets(num_buckets)
     inc = _increment_id(_input_files(pages_path))
-    alias_ref = broadcast_alias_map(seed)
-    pages, auto_lc = bulk_ingest_knobs(pages_path)
-    triples = linked_triples(pages, alias_ref,
-                             link_concurrency or auto_lc)
+    att = None
     if attestations_path is not None:
         # signed-attestation slice (identity propagation,
         # parser/common/types.go:25-41): verified DSSE envelopes emit
@@ -409,7 +406,6 @@ def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
                                        verify_dsse_stage)
         att = dsse_identity_triples(verify_dsse_stage(
             read_binary_docs(attestations_path), public_keys or {}))
-        triples = triples.union(att)
     # the build's checkpoint is the store's only increment partition:
     # written into a tmp copy of triples/ that replaces the live one
     # whole, so increments of an older store never outlive a rebuild
@@ -417,35 +413,18 @@ def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
     tri_tmp = tri_dir.rstrip("/") + ".__tmp__"
     part = os.path.join(tri_tmp, f"increment={inc}")
     shutil.rmtree(tri_tmp, ignore_errors=True)
-    mode = checkpoint_mode or _auto_checkpoint_mode()
-    if mode == "fused":
-        os.makedirs(part)
-        # batch_size=200k: the writer coalesces the linker's many small
-        # output blocks into compacted checkpoint files (same 200k-row
-        # target as disk mode's min_rows_per_file) AND hands the
-        # downstream combiner big blocks — per-block dedup on small
-        # blocks collapses almost nothing and the exchange would
-        # shuffle ~the full triple volume (first fused A/B measured
-        # 25% SLOWER than disk for exactly this reason)
-        tri = triples.map_batches(_fused_checkpoint_writer(part),
-                                  batch_format="pyarrow",
-                                  batch_size=200_000)
-    else:
-        write_table(triples, part, schemas.TRIPLES,
-                    min_rows_per_file=200_000)
-        # pruned re-read: the exchange never touches url/document_ref/
-        # raw surfaces — those columns stay on disk for evidence_view
-        tri = read_parquet_fast(part, columns=CANON_COLS)
+    rows = checkpointed_rows(read_parquet_fast(pages_path), part, nb,
+                             broadcast_alias_map(seed),
+                             checkpoint_mode=checkpoint_mode,
+                             extra_triples=att)
 
     def commit_triples():
         # the exchange has run, so every upstream task (and a fused
         # run's inline checkpoint writes) has completed
-        if not any(f.endswith(".parquet") for f in os.listdir(part)):
-            pq.write_table(schemas.TRIPLES.empty_table(),
-                           os.path.join(part, "empty.parquet"))
+        seal_checkpoint(part)
         _commit_dir(tri_tmp, tri_dir)
-    publish_build(out_dir, combined_rows(tri, nb), base=[inc],
-                  num_buckets=nb, seed=seed, before_commit=commit_triples)
+    publish_build(out_dir, rows, base=[inc], num_buckets=nb, seed=seed,
+                  before_commit=commit_triples)
     counts = {name: _dir_num_rows(os.path.join(out_dir, name))
               for name in ("triples", "nodes", "edges")}
     counts["evidence"] = counts["triples"]
@@ -453,8 +432,8 @@ def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
 
 
 def run_kg_resumable(pages_files: list[str], out_dir: str, *,
-                     num_buckets: int | None = None, link_concurrency=None,
-                     seed: int = 42, files_per_partition: int = 8) -> dict:
+                     num_buckets: int | None = None, seed: int = 42,
+                     files_per_partition: int = 8) -> dict:
     """Resumable run: one checkpoint partition per GROUP of input files.
 
     Phase A (per-partition, embarrassingly parallel, checkpointed): for
@@ -497,7 +476,7 @@ def run_kg_resumable(pages_files: list[str], out_dir: str, *,
         started = time.time()
         part_dir = os.path.join(tri_root, f"increment={pid}")
         pages = rd.read_parquet(group)
-        tri = linked_triples(pages, alias_ref, link_concurrency)
+        tri = linked_triples(pages, alias_ref)
         write_table(tri, part_dir, schemas.TRIPLES)  # idempotent even if a prior write died mid-flight
         man.commit(pid, inputs=group, outputs=[part_dir],
                    rows_in=sum(pq.ParquetFile(p).metadata.num_rows

@@ -67,55 +67,26 @@ def default_pool_size() -> tuple[int, int]:
     from 4 CPUs up so downstream task operators always make progress (a
     pool == cluster size deadlocks the streaming executor — round-1
     measurement).  At 2 CPUs the max is the whole cluster, yet builds
-    there complete (perfbench runs at that width); at 1 CPU
-    ``link_pool`` makes the actors CPU-free.
-
-    The round-4 saturated study found a HIGHER floor (3·cpus/4) wins
-    on big inputs — with min=cpus/2 the pool never ramped past ~16
-    actors at 32 CPUs (tasks bind mtif-deep to existing actors before
-    the autoscaler sees demand, ~46% operator idle in ds.stats; 1M-
-    page link phase 19.2→14.4 s) — but COSTS ~1.5-2 s on the 262k
-    protocol fixture (extra spawn+ramp against a ~7 s link phase).
-    The floor is therefore size-dispatched by the caller that knows
-    the input size (``kg.bulk_ingest_knobs``); this default stays the
-    small/interactive-safe choice.
+    there complete (perfbench runs at that width); at 1 CPU ``link``
+    makes the actors CPU-free.
     """
     cpus = cluster_cpus()
     return (max(1, cpus // 2), max(2, cpus - 2))
 
 
-def link_pool(concurrency=None) -> tuple:
-    """``(concurrency, num_cpus)`` of the link actor pool at this
-    cluster's width; raises ``ValueError`` for a pool that could never
-    make progress, so callers check it before any Ray work.
-
-    At width 1 the actors take no CPU slot: a 1-CPU actor (even a
-    0.5-CPU one) holds the only slot, the 1-CPU read task behind it
-    stays pending, and the build makes no progress and raises nothing.
-    At width ≥ 2 each actor takes one CPU, and a caller's pool whose
-    MINIMUM size takes every CPU is refused for the same reason (the
-    ``default_pool_size`` deadlock)."""
-    cpus = cluster_cpus()
-    if concurrency is None:
-        concurrency = default_pool_size()
-    if cpus < 2:
-        return concurrency, 0
-    lo = concurrency if isinstance(concurrency, int) else concurrency[0]
-    if lo >= cpus:
-        raise ValueError(
-            f"link_concurrency={concurrency!r}: a minimum pool of {lo} "
-            f"one-CPU link actors takes all {cpus} cluster CPUs, so the "
-            f"tasks downstream of it never run; use a minimum below {cpus}")
-    return concurrency, 1
-
-
 def link(ds, alias_ref=None, concurrency=None, batch_size: int = 512):
-    """batch_size is deliberately small: upstream normalize/extract fuse
+    """The link actor pool: ``concurrency`` actors (default
+    ``default_pool_size``), one CPU each at width ≥ 2.  At width 1 the
+    actors take no CPU slot: a 1-CPU actor (even a 0.5-CPU one) holds
+    the only slot, the 1-CPU read task behind it stays pending, and the
+    build makes no progress and raises nothing.
+
+    batch_size is deliberately small: upstream normalize/extract fuse
     into this actor stage, so the batch unit here is PAGES (≈1.5 ms of
     UDF work each) — 512 keeps task granularity high enough that an
     autoscaled pool stays busy instead of 30 actors idling behind 31
     giant tasks."""
-    concurrency, num_cpus = link_pool(concurrency)
     return ds.map_batches(Linker, fn_constructor_kwargs={"alias_ref": alias_ref},
                           batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency, num_cpus=num_cpus)
+                          concurrency=concurrency or default_pool_size(),
+                          num_cpus=1 if cluster_cpus() >= 2 else 0)

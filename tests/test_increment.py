@@ -143,11 +143,14 @@ def test_graphstore_over_incremental_store(tmp_path):
 
 
 def test_increment_sigkill_replay_equals_clean(tmp_path):
-    """Crash safety: SIGKILL an ingest_increment mid-run (right after
-    its delta checkpoint appears — triples written, tables unswapped,
-    ledger not yet updated), replay it, and require byte-equality with
-    a clean build+ingest.  The edges ledger is the commit marker; a
-    killed run must be invisible after replay."""
+    """Crash safety: SIGKILL an ingest_increment mid-run (0.5 s after
+    its delta checkpoint's tmp dir ``increment=<id>.__tmp__`` appears,
+    which is when the link pass starts — tables unswapped, ledger not
+    yet updated), replay it, and require equality with a clean
+    build+ingest.  The edges ledger is the commit marker; a killed run
+    must be invisible after replay.  ``test_increment_crash_after_
+    checkpoint_replay_equals_clean`` covers the later window, between
+    the checkpoint's commit and the table swaps."""
     import glob
     import signal
     import subprocess
@@ -180,6 +183,42 @@ def test_increment_sigkill_replay_equals_clean(tmp_path):
     r = ingest_increment(p["b"], victim)  # replay after the crash
     assert r["skipped"] is False
     for name, key in (("nodes", "node_id"), ("edges", "edge_id")):
+        got = _table_df(read_graph_table(victim, name), key)
+        want = _table_df(read_graph_table(clean, name), key)
+        pd.testing.assert_frame_equal(got, want)
+
+
+def test_increment_crash_after_checkpoint_replay_equals_clean(tmp_path,
+                                                             monkeypatch):
+    """Crash safety between the delta's checkpoint commit and the table
+    swaps: the store write raises before any swap, with the checkpoint
+    partition committed.  The tables and ledger stay as they were, and
+    replaying the ingest equals a clean build+ingest, evidence
+    included (the replay rewrites the partition, never adds a copy)."""
+    from guacray.pipelines import increment
+
+    p = _split_pages(tmp_path, n=256, cut=128)
+    clean = str(tmp_path / "clean")
+    run_kg(p["a"], clean, num_buckets=32)
+    ingest_increment(p["b"], clean)
+
+    victim = str(tmp_path / "victim")
+    run_kg(p["a"], victim, num_buckets=32)
+    before = table_counts(victim)
+    tri = os.path.join(victim, "triples")
+
+    def crash(*args, **kwargs):
+        parts = sorted(os.listdir(tri))
+        assert len(parts) == 2 and not any("__tmp__" in d for d in parts)
+        raise RuntimeError("injected crash before the swap")
+    with monkeypatch.context() as m:
+        m.setattr(increment, "write_store", crash)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            ingest_increment(p["b"], victim)
+    assert table_counts(victim) == before
+    assert ingest_increment(p["b"], victim)["skipped"] is False  # replay
+    for name, key in (("nodes", "node_id"), ("edges", "edge_id"),
+                      ("triples", ["url", "edge_id"])):
         got = _table_df(read_graph_table(victim, name), key)
         want = _table_df(read_graph_table(clean, name), key)
         pd.testing.assert_frame_equal(got, want)

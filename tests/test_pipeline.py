@@ -12,6 +12,7 @@ exactly (P/R = 1.0 ≥ the 0.95 gate).
 
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from guacray.data.reference import reference_graph, reference_triples
@@ -166,41 +167,65 @@ def test_checkpoint_modes_equal_outputs(small_pages_path, tmp_path):
             assert max(per_dir) == 1, (d, t, per_dir)
 
 
-def test_run_kg_ray_executions(small_pages_path, tmp_path, monkeypatch):
-    """A build is one Ray execution in fused mode (read → link →
-    checkpoint → exchange → bucket files) and two in disk mode (the
-    checkpoint write, then the exchange): the reduce tasks write the
-    store, so no table has a write plan of its own."""
+@pytest.fixture
+def ray_executions(monkeypatch):
+    """The plan names of every Ray Data execution the test runs (each
+    goes through ``StreamingExecutor.execute``)."""
     from ray.data._internal.execution import streaming_executor as se
-
-    from guacray.pipelines.kg import run_kg
     plans, execute = [], se.StreamingExecutor.execute
 
     def counted(self, dag, *args, **kwargs):
         plans.append(dag.name)
         return execute(self, dag, *args, **kwargs)
     monkeypatch.setattr(se.StreamingExecutor, "execute", counted)
+    return plans
+
+
+def test_run_kg_ray_executions(small_pages_path, tmp_path, ray_executions):
+    """A build is one Ray execution in fused mode (read → link →
+    checkpoint → exchange → bucket files) and two in disk mode (the
+    checkpoint write, then the exchange): the reduce tasks write the
+    store, so no table has a write plan of its own."""
+    from guacray.pipelines.kg import run_kg
     for mode, n in (("fused", 1), ("disk", 2)):
-        plans.clear()
+        ray_executions.clear()
         run_kg(small_pages_path, str(tmp_path / mode), checkpoint_mode=mode)
-        assert len(plans) == n, (mode, plans)
+        assert len(ray_executions) == n, (mode, ray_executions)
+
+
+def test_ingest_and_enrichment_ray_executions(small_pages, tmp_path,
+                                              ray_executions):
+    """At the test cluster's width (``fused``) an ingest runs the
+    build's link-and-checkpoint pass, the touched-bucket pass and the
+    store write: 3 executions.  An enrichment pass runs 6."""
+    import pyarrow.parquet as pq
+
+    from guacray.pipelines.enrich import run_enrichment
+    from guacray.pipelines.increment import ingest_increment
+    from guacray.pipelines.kg import _auto_checkpoint_mode, run_kg
+    assert _auto_checkpoint_mode() == "fused"
+    base, delta = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    pq.write_table(small_pages.slice(0, 192), base)
+    pq.write_table(small_pages.slice(192), delta)
+    store = str(tmp_path / "store")
+    run_kg(base, store)
+    ray_executions.clear()
+    assert ingest_increment(delta, store)["skipped"] is False
+    assert len(ray_executions) == 3, ray_executions
+    ray_executions.clear()
+    assert run_enrichment(store, certifier="category", now=1000.0)["scanned"]
+    assert len(ray_executions) == 6, ray_executions
 
 
 def test_unknown_checkpoint_mode_raises(small_pages_path, tmp_path):
     """A mode outside {None, "disk", "fused"} fails at the API boundary,
-    before any output is created — and so does a link pool whose
-    minimum size takes every CPU of the (4-CPU) test cluster."""
+    before any output is created."""
     import os
-    import pytest
     from guacray.pipelines.kg import run_kg
     out = str(tmp_path / "out")
     with pytest.raises(ValueError, match="checkpoint_mode"):
         run_kg(small_pages_path, out, checkpoint_mode="mem")
     assert not os.path.exists(out)
-    for lc in (4, (4, 6)):
-        with pytest.raises(ValueError, match="link_concurrency"):
-            run_kg(small_pages_path, out, link_concurrency=lc)
-        assert not os.path.exists(out)
 
 
 _WIDTH_ONE_BUILD = """
@@ -293,22 +318,15 @@ def test_fused_checkpoint_empty_input(tmp_path):
         assert got.num_rows == 0 and got.schema.equals(schema), t
 
 
-def test_auto_checkpoint_mode_dispatch():
-    """Width-aware mode dispatch: narrow clusters (≤ threshold CPUs)
+def test_auto_checkpoint_mode_dispatch(monkeypatch):
+    """Width-aware mode dispatch: narrow clusters (≤ FUSED_MAX_CPUS)
     run fused, wide ones disk.  The test session runs 4 CPUs."""
-    from guacray.pipelines.kg import _auto_checkpoint_mode
-    assert _auto_checkpoint_mode() == "fused"
-    assert _auto_checkpoint_mode(cpu_threshold=2) == "disk"
-
-
-def test_bulk_ingest_knobs_dispatch(small_pages_path):
-    """Light inputs keep the interactive defaults; the heavy path
-    raises the pool floor (threshold forced to 0 to flip it)."""
-    from guacray.pipelines.kg import bulk_ingest_knobs
-    _, lc = bulk_ingest_knobs(small_pages_path)
-    assert lc is None
-    _, lc = bulk_ingest_knobs(small_pages_path, heavy_pages_per_cpu=0)
-    assert lc is not None and lc[0] >= lc[1] // 2 and lc[1] >= lc[0]
+    from guacray.pipelines import kg
+    assert kg._auto_checkpoint_mode() == "fused"
+    monkeypatch.setattr(kg, "cluster_cpus", lambda: kg.FUSED_MAX_CPUS)
+    assert kg._auto_checkpoint_mode() == "fused"
+    monkeypatch.setattr(kg, "cluster_cpus", lambda: kg.FUSED_MAX_CPUS + 1)
+    assert kg._auto_checkpoint_mode() == "disk"
 
 
 def _sorted_frame(ds) -> pd.DataFrame:
