@@ -78,7 +78,7 @@ from ..stages.canonicalize import (_combined_merge, edge_rows, node_rows,
                                    to_edges, to_nodes, with_bucket)
 from .kg import (_commit_dir, _dir_num_rows, _increment_id, _input_files,
                  broadcast_alias_map, checkpointed_rows, read_parquet_fast,
-                 run_kg, seal_checkpoint)
+                 run_kg, seal_checkpoint, stage_checkpoint)
 
 LEDGER = "_applied.json"
 # GraphStore deletes' append-only log, beside the tables
@@ -358,7 +358,8 @@ def ingest_increment(pages_path, out_dir: str) -> dict:
     (checkpoint mode by the same width dispatch, link pool sized to the
     delta): its partial rows are materialized — canonical-size, the
     touched buckets' names — and its checkpoint partition
-    ``triples/increment=<id>/`` is committed before any table moves.
+    ``triples/increment=<id>/``, staged outside ``triples/``
+    (``stage_checkpoint``), is committed before any table moves.
     Only the bucket partitions the delta's content-hash ids land in are
     then read and rewritten; the other buckets are hardlinked.  At the
     ``fused`` width that is 3 Ray executions: the link pass with its
@@ -390,14 +391,14 @@ def ingest_increment(pages_path, out_dir: str) -> dict:
     #    its durable checkpoint partition (evidence grows append-only;
     #    the atomic promotion makes a crash-rerun idempotent)
     t0 = time.time()
-    part = os.path.join(out_dir, "triples", f"increment={inc}")
-    tmp = part + ".__tmp__"
-    delta = checkpointed_rows(read_parquet_fast(files), tmp, nb,
+    part = f"increment={inc}"
+    stage = stage_checkpoint(out_dir, part)
+    delta = checkpointed_rows(read_parquet_fast(files), stage, nb,
                               broadcast_alias_map(seed),
                               link_concurrency=_delta_pool_size(files)
                               ).materialize()
-    seal_checkpoint(tmp)
-    _commit_dir(tmp, part)
+    seal_checkpoint(stage)
+    _commit_dir(stage, os.path.join(out_dir, "triples", part))
     t_extract = time.time() - t0
 
     t0 = time.time()

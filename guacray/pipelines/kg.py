@@ -104,10 +104,13 @@ def upsert_sidecar(path: str, new_ds, keys: list[str], ts_col: str,
 def _commit_dir(tmp: str, out_dir: str) -> None:
     """Atomically promote a fully-written tmp dir to ``out_dir``.
 
-    A commit that died between its two renames left ``.__old__`` as the
-    only copy of the live table and no ``out_dir``: roll it back before
+    The live copy parks beside ``tmp`` as ``<name>.__old__`` (beside
+    ``out_dir`` too when ``tmp`` is its ``.__tmp__`` sibling).  A commit
+    that died between its two renames left ``.__old__`` as the only
+    copy of the live table and no ``out_dir``: roll it back before
     anything else, so the cleanup below never deletes the last copy."""
-    old = out_dir.rstrip("/") + ".__old__"
+    old = os.path.join(os.path.dirname(tmp.rstrip("/")),
+                       os.path.basename(out_dir.rstrip("/")) + ".__old__")
     if os.path.isdir(old) and not os.path.exists(out_dir):
         os.replace(old, out_dir)
     shutil.rmtree(old, ignore_errors=True)
@@ -115,6 +118,21 @@ def _commit_dir(tmp: str, out_dir: str) -> None:
         os.replace(out_dir, old)
     os.replace(tmp, out_dir)
     shutil.rmtree(old, ignore_errors=True)
+
+
+def stage_checkpoint(out_dir: str, part: str) -> str:
+    """A cleared staging dir for checkpoint partition ``triples/<part>``
+    of the store at ``out_dir``, which ``_commit_dir`` then renames into
+    place.  It sits in ``<out_dir>/_staging/``: on the same filesystem
+    as ``triples/`` but outside it.  Ray and pyarrow skip only names
+    that start with ``.`` or ``_``, so a ``.__tmp__`` or ``.__old__``
+    dir under ``triples/`` (a write in flight, or a crash's leftover)
+    would read as one more partition in ``read_graph_table``,
+    ``evidence_view`` and DuckDB's ``triples/**`` globs alike."""
+    stage = os.path.join(out_dir, "_staging", part)
+    shutil.rmtree(stage, ignore_errors=True)
+    os.makedirs(stage)
+    return stage
 
 
 def read_parquet_fast(path_or_paths, **kwargs):
@@ -438,7 +456,8 @@ def run_kg_resumable(pages_files: list[str], out_dir: str, *,
 
     Phase A (per-partition, embarrassingly parallel, checkpointed): for
     each group of ``files_per_partition`` input files whose partition is
-    not yet in the manifest, run normalize→extract→link and write
+    not yet in the manifest, run normalize→extract→link, stage the
+    triples outside ``triples/`` (``stage_checkpoint``), commit them as
     ``out_dir/triples/increment=part-<k>/`` + an atomic manifest entry
     with lineage and metrics.  A killed run reruns only missing
     partitions.  Grouping matters: each partition is a full
@@ -475,9 +494,10 @@ def run_kg_resumable(pages_files: list[str], out_dir: str, *,
             continue
         started = time.time()
         part_dir = os.path.join(tri_root, f"increment={pid}")
-        pages = rd.read_parquet(group)
-        tri = linked_triples(pages, alias_ref)
-        write_table(tri, part_dir, schemas.TRIPLES)  # idempotent even if a prior write died mid-flight
+        stage = stage_checkpoint(out_dir, f"increment={pid}")
+        linked_triples(rd.read_parquet(group), alias_ref).write_parquet(stage)
+        seal_checkpoint(stage)
+        _commit_dir(stage, part_dir)
         man.commit(pid, inputs=group, outputs=[part_dir],
                    rows_in=sum(pq.ParquetFile(p).metadata.num_rows
                                for p in group),

@@ -30,7 +30,7 @@ import ray.data as rd
 from ..functions.rounding import pc_round
 from ..stages.agg import (ROW_BUCKETS, agg_by_name, auto_join, bucket_of,
                           bucketed, grouped_agg, resolve_buckets, semi_join,
-                          semi_join_filter, topk)
+                          topk)
 from ..stages.ann import brute_force_topk, lsh_topk, make_query_vector
 from ..stages.dedup import (exact_dedup, jaccard_pairs, minhash_lsh_pairs,
                             simhash_pairs, span_dedup)

@@ -123,10 +123,10 @@ class GraphStore:
         """Distributed semi-join: edges whose subject (resp. object) is
         in the frontier.  The frontier is broadcast once per hop.
 
-        ``cap``: collection is STREAMED (iter_batches) and aborted the
-        moment the expansion exceeds ``cap`` rows, returning None — the
-        escalation signal for the hybrid BFS.  The driver never holds
-        more than cap+one batch of an oversized expansion."""
+        Collection is STREAMED (iter_batches) and aborted the moment
+        the expansion exceeds ``cap`` rows, returning None; the driver
+        never holds more than cap+one batch of an oversized expansion.
+        ``cap=None`` collects the whole expansion."""
         ref = ray.put(pa.array(sorted(frontier)))
 
         def fn(t: pa.Table) -> pa.Table:
@@ -142,88 +142,87 @@ class GraphStore:
         # BFS consumers need only the id pair: project BEFORE collecting
         # so a hub node's expansion ships 2 narrow columns, not whole
         # edge rows
-        empty = pa.table({"subj_id": pa.array([], type=pa.string()),
-                          "obj_id": pa.array([], type=pa.string())})
         ds = self._read_edges(predicates=predicates).map_batches(
             fn, batch_format="pyarrow").select_columns(
             ["subj_id", "obj_id"])
-        if cap is None:
-            df = ds.to_pandas()
-            if "subj_id" not in df.columns:  # empty expansion drops schema
-                return empty
-            return pa.Table.from_pandas(df, preserve_index=False)
         chunks, total = [], 0
         for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
             total += b.num_rows
-            if total > cap:
+            if cap is not None and total > cap:
                 return None
             chunks.append(b)
         if not chunks:
-            return empty
+            return pa.table({"subj_id": pa.array([], type=pa.string()),
+                             "obj_id": pa.array([], type=pa.string())})
         return pa.concat_tables(chunks)
 
     # ------------------------------------------------------------- BFS
+
+    # The driver-side walks' size limit, in rows: ``bfs_path`` refuses a
+    # hop whose expansion passes it, and ``reachable`` /
+    # ``reachable_dataset`` hand their walk to dataset-resident state
+    # the moment the visited set or one hop's expansion would.  Below
+    # it a hop is one distributed edge filter collected to the driver
+    # (the cheap plan at fixture scale); past it the driver holds only
+    # counts.  The plan depends on the input alone: no call overrides
+    # the limit.
+    DRIVER_BFS_LIMIT = 1_000_000
 
     def bfs_path(self, src_id: str, dst_id: str, max_len: int = 10,
                  predicates: list[str] | None = None) -> list[str] | None:
         """Shortest path (undirected over directed edges, like the
         reference's neighbors-based BFS).  Frontier iterates driver-side;
-        each hop's expansion is distributed."""
+        each hop's expansion is distributed and collected under
+        ``DRIVER_BFS_LIMIT`` rows: a hop past it raises ``RuntimeError``
+        (naming the hop) instead of flooding the driver."""
         if src_id == dst_id:
             return [src_id]
         parent: dict[str, str] = {src_id: ""}
         frontier = {src_id}
-        for _ in range(max_len):
+        for hop in range(1, max_len + 1):
             if not frontier:
                 return None
-            edges = self._frontier_expand(frontier, predicates, "both")
-            nxt: set[str] = set()
-            for s, o in zip(edges["subj_id"].to_pylist(),
-                            edges["obj_id"].to_pylist()):
-                for a, b in ((s, o), (o, s)):
-                    if a in frontier and b not in parent:
-                        parent[b] = a
-                        nxt.add(b)
+            edges = self._frontier_expand(frontier, predicates, "both",
+                                          cap=self.DRIVER_BFS_LIMIT)
+            if edges is None:
+                raise RuntimeError(
+                    f"bfs_path hop {hop}: the frontier's expansion passed "
+                    f"{self.DRIVER_BFS_LIMIT:,} edge rows "
+                    "(GraphStore.DRIVER_BFS_LIMIT)")
+            nxt = _advance(edges, "both", frontier, parent)
+            parent.update(nxt)
             if dst_id in parent:
                 path = [dst_id]
                 while path[-1] != src_id:
                     path.append(parent[path[-1]])
                 return list(reversed(path))
-            frontier = nxt
+            frontier = set(nxt)
         return None
-
-    # Escalation threshold for the hybrid BFS: while the visited set AND
-    # every hop expansion stay below this many rows, the frontier walks
-    # driver-side (one distributed edge filter per hop — the cheap path
-    # at fixture scale); past it, frontier/visited move into Datasets
-    # and the driver holds only counts.  Overridable per call and via
-    # env for tests (GUACRAY_BFS_DRIVER_LIMIT=0 forces the distributed
-    # path everywhere).
-    DRIVER_BFS_LIMIT = 1_000_000
-
-    def _bfs_driver_limit(self, driver_limit: int | None) -> int:
-        if driver_limit is not None:
-            return driver_limit
-        env = os.environ.get("GUACRAY_BFS_DRIVER_LIMIT")
-        return int(env) if env else self.DRIVER_BFS_LIMIT
 
     def reachable(self, start_id: str, *, direction: str = "out",
                   predicates: list[str] | None = None,
                   max_depth: int = 10,
-                  driver_limit: int | None = None) -> dict[str, int]:
+                  class_predicate: str | None = None) -> dict[str, int]:
         """Blast-radius / patch-planning frontier BFS: node_id → depth
         (the SearchDependentsFromStartPackage shape).
 
+        ``class_predicate`` treats equivalence-class members as ONE
+        node mid-walk, as the reference's retrieveDependencies expands
+        HashEqual/PkgEqual classes during the closure
+        (pkg/guacrest/server/retrieveDependencies.go:145-260): every
+        reached node is closed over ``class_predicate`` edges
+        (undirected, at the SAME depth) before the next directed hop,
+        so a path that only exists through an equal member is found.
+
         The dict RESULT is driver-sized by contract — callers that need
         the closure of a huge graph should consume
-        ``reachable_dataset`` instead; the walk itself is hybrid either
-        way (escalates to dataset-resident state past driver_limit), so
-        an unexpectedly large closure degrades to a slow collect, never
-        a mid-walk driver OOM."""
-        kind, v = self._bfs(start_id, direction=direction,
-                            predicates=predicates, max_depth=max_depth,
-                            driver_limit=self._bfs_driver_limit(driver_limit))
-        if kind == "dict":
+        ``reachable_dataset`` instead; the walk itself is the same
+        either way (past ``DRIVER_BFS_LIMIT`` it continues on
+        dataset-resident state), so an unexpectedly large closure
+        degrades to a slow collect, never a mid-walk driver OOM."""
+        v = self._bfs(start_id, direction=direction, predicates=predicates,
+                      max_depth=max_depth, class_predicate=class_predicate)
+        if isinstance(v, dict):
             return v
         df = v.to_pandas()
         return dict(zip(df["node_id"], (int(x) for x in df["depth"])))
@@ -231,26 +230,22 @@ class GraphStore:
     def reachable_dataset(self, start_id: str, *, direction: str = "out",
                           predicates: list[str] | None = None,
                           max_depth: int = 10,
-                          class_predicate: str | None = None,
-                          driver_limit: int | None = None):
+                          class_predicate: str | None = None):
         """BFS closure as a Dataset(node_id, depth) — the scale form of
-        ``reachable``/``reachable_with_classes``.
+        ``reachable``, over the same walk.
 
-        Hybrid execution: hops run driver-side (one distributed edge
-        filter each) while the visited set and every expansion fit under
-        ``driver_limit``; the moment either would exceed it, state
+        Hops run driver-side (one distributed edge filter each) while
+        the visited set and every expansion fit under
+        ``DRIVER_BFS_LIMIT``; the moment either would exceed it, state
         SPILLS into Datasets and each further hop is a pair of
-        size-aware semi/anti joins (stages/agg.semi_join: broadcast
-        small frontiers, Bloom + hash join past 2M keys).  From that
-        point the driver sees only per-hop counts — a 10-hop closure
-        that reaches half the graph streams through the object store
-        instead of a Python dict.  Reference shape:
+        size-aware semi/anti joins (``stages/agg.semi_join``).  From
+        that point the driver sees only per-hop counts — a 10-hop
+        closure that reaches half the graph streams through the object
+        store instead of a Python dict.  Reference shape:
         /root/reference/pkg/guacanalytics/patchPlanning.go:54-151."""
-        kind, v = self._bfs(start_id, direction=direction,
-                            predicates=predicates, max_depth=max_depth,
-                            class_predicate=class_predicate,
-                            driver_limit=self._bfs_driver_limit(driver_limit))
-        if kind == "ds":
+        v = self._bfs(start_id, direction=direction, predicates=predicates,
+                      max_depth=max_depth, class_predicate=class_predicate)
+        if not isinstance(v, dict):
             return v
         ids = sorted(v)
         return rd.from_arrow(pa.table({
@@ -259,94 +254,68 @@ class GraphStore:
 
     def _bfs(self, start_id: str, *, direction: str,
              predicates: list[str] | None, max_depth: int,
-             class_predicate: str | None = None, driver_limit: int = 0):
-        """Shared hybrid BFS engine.  Returns ("dict", {id: depth}) if
-        the walk completed driver-side, else ("ds", Dataset(node_id,
-        depth)).  ``class_predicate`` closes every layer over an
-        undirected equivalence predicate at the SAME depth before the
-        next directed hop (retrieveDependencies semantics)."""
+             class_predicate: str | None):
+        """The one frontier walk: {id: depth} if it completed
+        driver-side, else a Dataset(node_id, depth).
+        ``class_predicate`` closes every layer over an undirected
+        equivalence predicate at the SAME depth before the next
+        directed hop (retrieveDependencies semantics).
+
+        The driver walk stops at its first overflow of
+        ``DRIVER_BFS_LIMIT`` and hands ``_bfs_distributed`` one state:
+        the depth map, the next depth, and whether a class closure was
+        cut.  The nodes whose expansion was cut are exactly those at
+        the depth before the next one."""
+        cap = self.DRIVER_BFS_LIMIT
         depth = {start_id: 0}
-        frontier = {start_id}
-        cap = driver_limit
 
-        def class_close(nodes: set[str], d: int) -> set[str] | None:
-            # expand to class fixpoint at depth d; returns new members,
-            # or None if an expansion overflowed the driver cap
-            added_all: set[str] = set()
-            fr = set(nodes)
-            while fr:
-                edges = self._frontier_expand(fr, [class_predicate],
-                                              "both", cap=cap)
-                if edges is None:
-                    return None
-                new: set[str] = set()
-                for s, o in zip(edges["subj_id"].to_pylist(),
-                                edges["obj_id"].to_pylist()):
-                    for a, b in ((s, o), (o, s)):
-                        if a in fr and b not in depth:
-                            depth[b] = d
-                            new.add(b)
-                added_all |= new
-                fr = new
-            return added_all
-
-        if class_predicate:
-            closed = class_close({start_id}, 0)
-            if closed is None:
-                # partially-closed members already carry depth 0 — the
-                # distributed re-closure must start from ALL of them
-                return self._bfs_distributed(
-                    depth, {k for k, dd in depth.items() if dd == 0}, 1,
-                    direction=direction,
-                    predicates=predicates, max_depth=max_depth,
-                    class_predicate=class_predicate, reclose_frontier=True)
-            frontier = {start_id} | closed
-        for d in range(1, max_depth + 1):
-            if not frontier:
-                break
-            if len(depth) > cap:
-                return self._bfs_distributed(
-                    depth, frontier, d, direction=direction,
-                    predicates=predicates, max_depth=max_depth,
-                    class_predicate=class_predicate)
-            edges = self._frontier_expand(frontier, predicates, direction,
-                                          cap=cap)
+        def grow(layer: set[str], preds, dirn: str, d: int):
+            # one hop from ``layer``: its new nodes, stamped depth d, or
+            # None (depth untouched) if the expansion overflowed
+            edges = self._frontier_expand(layer, preds, dirn, cap=cap)
             if edges is None:
-                return self._bfs_distributed(
-                    depth, frontier, d, direction=direction,
-                    predicates=predicates, max_depth=max_depth,
-                    class_predicate=class_predicate)
-            nxt: set[str] = set()
-            for s, o in zip(edges["subj_id"].to_pylist(),
-                            edges["obj_id"].to_pylist()):
-                if direction == "out":
-                    cand = [(s, o)]
-                elif direction == "in":
-                    cand = [(o, s)]
-                else:
-                    cand = [(s, o), (o, s)]
-                for a, b in cand:
-                    if a in frontier and b not in depth:
-                        depth[b] = d
-                        nxt.add(b)
-            if class_predicate and nxt:
-                closed = class_close(nxt, d)
-                if closed is None:
-                    return self._bfs_distributed(
-                        depth, {k for k, dd in depth.items() if dd == d},
-                        d + 1, direction=direction,
-                        predicates=predicates, max_depth=max_depth,
-                        class_predicate=class_predicate,
-                        reclose_frontier=True)
-                nxt |= closed
-            frontier = nxt
-        return "dict", depth
+                return None
+            new = _advance(edges, dirn, layer, depth)
+            depth.update(dict.fromkeys(new, d))
+            return set(new)
+
+        def walk():
+            # None when complete, else (next depth, class closure cut)
+            layer = {start_id}
+            for d in range(max_depth + 1):
+                if d:
+                    if not layer:
+                        return None
+                    if len(depth) > cap:
+                        return d, False
+                    layer = grow(layer, predicates, direction, d)
+                    if layer is None:
+                        return d, False
+                fr = layer if class_predicate else set()
+                while fr:  # class fixpoint at depth d
+                    fr = grow(fr, [class_predicate], "both", d)
+                    if fr is None:
+                        return d + 1, True
+                    layer |= fr
+            return None
+
+        cut = walk()
+        if cut is None:
+            return depth
+        next_d, reclose = cut
+        # the whole layer before next_d, so a cut class closure's
+        # already-stamped members are re-closed too
+        return self._bfs_distributed(
+            depth, {k for k, dd in depth.items() if dd == next_d - 1},
+            next_d, direction=direction, predicates=predicates,
+            max_depth=max_depth, class_predicate=class_predicate,
+            reclose_frontier=reclose)
 
     def _bfs_distributed(self, depth: dict[str, int], frontier: set[str],
                          next_d: int, *, direction: str,
                          predicates: list[str] | None, max_depth: int,
                          class_predicate: str | None,
-                         reclose_frontier: bool = False):
+                         reclose_frontier: bool):
         """Dataset-resident continuation of ``_bfs`` from hop next_d.
 
         State: ``layers`` — one materialized Dataset(node_id, depth) per
@@ -434,7 +403,7 @@ class GraphStore:
             frontier_ds = new.select_columns(["node_id"])
             if class_predicate:
                 frontier_ds = close_classes(frontier_ds, d)
-        return "ds", visited()
+        return visited()
 
     def _bfs_dag(self, start_id: str, direction: str, max_depth: int):
         """Shared DAG construction for the toposort family: BFS depths,
@@ -817,37 +786,6 @@ class GraphStore:
         cursor = rows["edge_id"].iloc[-1] if has_next and len(rows) else None
         return rows, cursor
 
-    def reachable_with_classes(self, start_id: str, *,
-                               direction: str = "out",
-                               predicates: list[str] | None = None,
-                               class_predicate: str = "partnered_with",
-                               max_depth: int = 10) -> dict[str, int]:
-        """Frontier BFS that treats equivalence-class members as ONE
-        node mid-walk — the reference's retrieveDependencies expands the
-        start node's HashEqual/PkgEqual class and keeps expanding
-        classes during the closure (/root/reference/pkg/guacrest/server/
-        retrieveDependencies.go:145-260).
-
-        Every reached node is closed over ``class_predicate`` edges
-        (undirected, SAME depth) before the next directed hop, so a
-        path that only exists through an equal member is found.  Class
-        members enter the depth map at the depth of the node that
-        pulled them in.
-
-        Dict result = driver-sized contract; the walk is the same
-        hybrid engine as ``reachable`` (escalates to dataset-resident
-        state past the driver limit) — use ``reachable_dataset(...,
-        class_predicate=...)`` to consume a huge closure as a
-        Dataset."""
-        kind, v = self._bfs(start_id, direction=direction,
-                            predicates=predicates, max_depth=max_depth,
-                            class_predicate=class_predicate,
-                            driver_limit=self._bfs_driver_limit(None))
-        if kind == "dict":
-            return v
-        df = v.to_pandas()
-        return dict(zip(df["node_id"], (int(x) for x in df["depth"])))
-
     def chain_with_classes(self, predicates: list[str], *,
                            class_predicate: str = "partnered_with",
                            props_filters=None):
@@ -909,3 +847,21 @@ class GraphStore:
         return rd.read_parquet(self.evidence_path,
                                columns=self.EVIDENCE_COLS,
                                filter=pc.field("edge_id") == edge_id)
+
+
+# the (from, to) orientations of an edge (s, o) a walk may follow
+_SIDES = {"out": slice(0, 1), "in": slice(1, 2), "both": slice(0, 2)}
+
+
+def _advance(edges: pa.Table, direction: str, frontier: set[str],
+             seen) -> dict[str, str]:
+    """One hop over ``edges``' (subj_id, obj_id) pairs: every node not in
+    ``seen`` first reached from ``frontier`` along ``direction`` →
+    the frontier node that reached it (edge order decides ties)."""
+    reached: dict[str, str] = {}
+    for s, o in zip(edges["subj_id"].to_pylist(),
+                    edges["obj_id"].to_pylist()):
+        for a, b in ((s, o), (o, s))[_SIDES[direction]]:
+            if a in frontier and b not in seen and b not in reached:
+                reached[b] = a
+    return reached

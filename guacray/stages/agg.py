@@ -38,9 +38,15 @@ _MERGE_OP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 # narrow the cluster
 ROW_BUCKETS = 32
 # floor of a hash join's partitions: each holds its share of every row
-# of both sides.  These paths run only above a 2M-row broadcast
-# threshold, which no measured workload reaches, so the floor stays
+# of both sides.  These paths run only above ``BROADCAST_ROWS``, which
+# no measured workload reaches, so the floor stays
 JOIN_PARTITIONS = 8
+# the joins' one plan choice: a right side (``semi_join``: its distinct
+# keys) of at most this many rows is broadcast to a map-side lookup,
+# a larger one goes through a hash-partitioned ``Dataset.join`` of
+# ``resolve_buckets(None, JOIN_PARTITIONS)`` partitions.  The choice
+# reads the input's size alone: no call overrides it
+BROADCAST_ROWS = 2_000_000
 
 
 def cluster_cpus() -> int:
@@ -191,50 +197,16 @@ def topk(ds, by: list[str], descending: list[bool], k: int):
              .sort(by, descending=descending).limit(k)
 
 
-def broadcast_lookup(small_df):
-    """ray.put a small pandas dim table once for map-side joins.
-
-    Usage: ``ref = broadcast_lookup(df)``; inside a stage,
-    ``df = ray.get(ref)`` (in an actor's __init__, or at first batch) —
-    the object-store copy is shared per node, never re-shipped.
-    """
-    import ray
-    return ray.put(small_df)
-
-
-def map_side_join(ds, small_ref, on: str | list[str], how: str = "inner",
-                  columns: list[str] | None = None):
-    """Broadcast hash join: big Dataset ⋈ small pandas table.
-
-    The Ray-idiomatic replacement for GUAC's noun-ID substitution join
-    (/root/reference/pkg/assembler/clients/helpers/bulk.go:120-238) when
-    one side is dimension-sized.  For big-big joins use
-    ``Dataset.join`` (hash-partitioned) instead.
-    """
-    import pandas as pd
-    import ray
-
-    def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        small = ray.get(small_ref)
-        if columns is not None:
-            small = small[columns]
-        return batch.merge(small, on=on, how=how)
-
-    return ds.map_batches(fn, batch_format="pandas")
-
-
 def auto_join(left, right, *, on: str, right_on: str,
-              num_partitions: int | None = None,
-              broadcast_threshold: int = 2_000_000,
               right_rename: dict[str, str] | None = None):
     """Size-aware inner join (the planner decision GUAC never needs —
     its joins are all client-side ID substitution).
 
-    If the right side is below ``broadcast_threshold`` rows it is
-    collected and broadcast (map-side hash join: no shuffle, no
-    aggregator actors); otherwise fall back to the hash-partitioned
-    ``Dataset.join``.  At 100 TB the threshold keeps dimension-sized
-    sides on the broadcast path and fact-fact joins on the shuffle path.
+    A right side of at most ``BROADCAST_ROWS`` rows is collected and
+    broadcast (map-side hash join: no shuffle, no aggregator actors);
+    a larger one goes through the hash-partitioned ``Dataset.join``.
+    At 100 TB the size keeps dimension-sized sides on the broadcast
+    path and fact-fact joins on the shuffle path.
 
     ``right_rename``: project+rename the right side to exactly these
     {old: new} columns INSIDE the join instead of via a map_batches on
@@ -248,7 +220,7 @@ def auto_join(left, right, *, on: str, right_on: str,
     # pipeline and to_pandas() would re-execute it from scratch
     right = right.materialize()
     n_right = right.count()
-    if n_right <= broadcast_threshold:
+    if n_right <= BROADCAST_ROWS:
         import pandas as pd
         small = right.to_pandas()
         if right_rename:
@@ -263,22 +235,20 @@ def auto_join(left, right, *, on: str, right_on: str,
             return pa.table({new: t[old]
                              for old, new in right_rename.items()})
         right = right.map_batches(project, batch_format="pyarrow")
-    num_partitions = resolve_buckets(num_partitions, JOIN_PARTITIONS)
-    return left.join(right, "inner", num_partitions=num_partitions,
+    return left.join(right, "inner",
+                     num_partitions=resolve_buckets(None, JOIN_PARTITIONS),
                      on=(on,), right_on=(right_on,))
 
 
 def left_lookup_join(left, right, *, on: str, right_on: str,
                      value_col: str, out: str,
-                     default_from: str | None = None,
-                     broadcast_threshold: int = 2_000_000,
-                     num_partitions: int | None = None):
+                     default_from: str | None = None):
     """LEFT lookup join: stamp ``out`` = right[value_col] matched on
     key; unmatched rows fall back to left[default_from] (or null).
 
     The distributed replacement for the "collect a dict to the driver
     and .get() per row" labeling pattern: size-aware like ``auto_join``
-    (broadcast Arrow lookup below the threshold, hash-partitioned
+    (broadcast Arrow lookup up to ``BROADCAST_ROWS``, hash-partitioned
     left_outer Dataset.join above), so the lookup table can be any
     size and nothing O(table) reaches the driver.  Both paths keep the
     value column's Arrow type (a missed key is a null, never a float
@@ -305,7 +275,7 @@ def left_lookup_join(left, right, *, on: str, right_on: str,
                    else pa.nulls(len(t), vtype))
             return t.append_column(out, val)
         return left.map_batches(stamp, batch_format="pyarrow")
-    if n_right <= broadcast_threshold:
+    if n_right <= BROADCAST_ROWS:
         small = pa.concat_tables(
             ray.get(right.select_columns([right_on, value_col])
                     .to_arrow_refs()), promote_options="default")
@@ -323,8 +293,8 @@ def left_lookup_join(left, right, *, on: str, right_on: str,
     def project(t: pa.Table) -> pa.Table:
         return pa.table({"__lk_key": t[right_on], "__lk_val": t[value_col]})
     right = right.map_batches(project, batch_format="pyarrow")
-    num_partitions = resolve_buckets(num_partitions, JOIN_PARTITIONS)
-    joined = left.join(right, "left_outer", num_partitions=num_partitions,
+    joined = left.join(right, "left_outer",
+                       num_partitions=resolve_buckets(None, JOIN_PARTITIONS),
                        on=(on,), right_on=("__lk_key",))
 
     def fin(t: pa.Table) -> pa.Table:
@@ -445,16 +415,16 @@ def semi_join_filter(ds, keys, col: str, anti: bool = False):
 
 
 def semi_join(left, right, *, on: str, right_on: str | None = None,
-              anti: bool = False, broadcast_threshold: int = 2_000_000,
-              num_partitions: int | None = None):
+              anti: bool = False):
     """Distributed semi/anti join: keep left rows whose ``on`` key does
     (semi) / does not (anti) appear in ``right``.
 
     Size-aware like ``auto_join``: the right side's DISTINCT keys are
-    computed first (a dedup — far smaller than the right table); below
-    the threshold they broadcast as a sorted array filter, above it the
-    decision is a hash-partitioned join against the key set (marker
-    column + filter for anti).  Nothing O(left) ever reaches the driver.
+    computed first (a dedup — far smaller than the right table); up to
+    ``BROADCAST_ROWS`` of them broadcast as a sorted array filter, past
+    it the decision is a hash-partitioned join against the key set
+    (marker column + filter for anti).  Nothing O(left) ever reaches
+    the driver.
     """
     import ray
     right_on = right_on or on
@@ -468,10 +438,10 @@ def semi_join(left, right, *, on: str, right_on: str | None = None,
     n = keys_ds.count()
     if n == 0:
         return left if anti else left.limit(0)
-    if n <= broadcast_threshold:
+    if n <= BROADCAST_ROWS:
         vals = keys_ds.to_pandas()["__sj_key"].tolist()
         return semi_join_filter(left, vals, on, anti=anti)
-    num_partitions = resolve_buckets(num_partitions, JOIN_PARTITIONS)
+    num_partitions = resolve_buckets(None, JOIN_PARTITIONS)
 
     # big right side: broadcast a Bloom filter of the key set (~1.2 MB /
     # million keys at 1% fp, vs the keys themselves) and pre-filter the

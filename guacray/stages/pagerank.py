@@ -40,6 +40,12 @@ import pyarrow.compute as pc
 
 from .agg import auto_join, grouped_agg, left_lookup_join
 
+# the size dispatch: a graph of at most this many node + edge rows runs
+# the exact numpy loop on the driver, a larger one the distributed
+# dataset path.  The plan reads the input's size alone: no call
+# overrides it
+DRIVER_ROWS = 4_000_000
+
 
 def _expand(t: pa.Table) -> pa.Table:
     """Edge rows → directed (src, dst) pairs; undirected rows emit
@@ -52,7 +58,7 @@ def _expand(t: pa.Table) -> pa.Table:
 
 def _pagerank_driver(nodes, edges, iters: int, damping: float,
                      seeds: list[str] | None):
-    """Driver-resident exact path: below ``driver_limit`` the whole
+    """Driver-resident exact path: up to ``DRIVER_ROWS`` the whole
     graph fits one process, and the dataset path's ~4 s/iteration of
     executor fix-cost (materialize + scalar aggregate + join + grouped
     sum, each its own streaming execution) dwarfs the compute — the
@@ -105,7 +111,6 @@ def _pagerank_driver(nodes, edges, iters: int, damping: float,
 
 
 def pagerank(nodes, edges, *, iters: int = 3, damping: float = 0.85,
-             driver_limit: int = 4_000_000,
              seeds: list[str] | None = None):
     """PageRank after ``iters`` damped power iterations.
 
@@ -122,12 +127,12 @@ def pagerank(nodes, edges, *, iters: int = 3, damping: float = 0.85,
     into every batch's membership mask, so it must stay small (it is a
     query parameter, not a table).
 
-    Size-dispatched like the hybrid BFS: when nodes+edges fit under
-    ``driver_limit`` rows the exact numpy loop runs on the driver (the
+    Size-dispatched like the BFS walk: when nodes+edges fit in
+    ``DRIVER_ROWS`` rows the exact numpy loop runs on the driver (the
     iterative dataset algebra pays several executor spin-ups per
     iteration — pure fix-cost at small sizes); above it, the
-    distributed path streams (forced-threshold pytest proves both
-    paths equal).
+    distributed path streams.  No call picks the path; the tests
+    force each one by patching the constant and prove both equal.
     """
     if seeds is not None:
         if not seeds:
@@ -136,7 +141,7 @@ def pagerank(nodes, edges, *, iters: int = 3, damping: float = 0.85,
         # both paths divide the restart mass by the DISTINCT seed count
         seeds = sorted(set(seeds))
     n = nodes.count()
-    if 0 < n and n + edges.count() <= driver_limit:
+    if 0 < n and n + edges.count() <= DRIVER_ROWS:
         return _pagerank_driver(nodes, edges, iters, damping, seeds)
     if n == 0:
         import ray.data as rd

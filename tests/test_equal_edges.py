@@ -191,13 +191,50 @@ def test_class_aware_traversal_reaches_through_members(tmp_path):
     plain = store.reachable(acme, predicates=["acquired"])
     assert initech not in plain
     # class-aware BFS walks through Globex (same class, depth 0)
-    got = store.reachable_with_classes(acme, predicates=["acquired"])
+    got = store.reachable(acme, predicates=["acquired"],
+                          class_predicate="partnered_with")
     assert got[initech] == 1
     # and keeps going: acquired then released
-    got2 = store.reachable_with_classes(
-        acme, predicates=["acquired", "released"])
+    got2 = store.reachable(acme, predicates=["acquired", "released"],
+                           class_predicate="partnered_with")
     hw = nodes[nodes["name"].str.startswith("HyperWidget")]
     assert any(n in got2 for n in hw["node_id"])
+
+
+def test_class_aware_traversal_dataset_hand_off(tmp_path, monkeypatch):
+    """The class-aware walk equals its driver-side result when a small
+    DRIVER_BFS_LIMIT cuts it before a hop, inside the start node's class
+    closure (from Initech, limits 0 and 1) or inside the closure after
+    a hop (from Stark, limit 1): the dataset-resident continuation
+    re-closes the cut layer.  Stark acquired Initech, whose class holds
+    Umbrella and Wayne; only Umbrella released the product."""
+    pages = _pages([
+        _page("<p>Stark Corp acquired Initech Corp. "
+              "Initech Corp partnered with Umbrella Corp. "
+              "Initech Corp partnered with Wayne Corp. "
+              "Umbrella Corp released HyperWidget 2.0.</p>", "https://x/1"),
+    ])
+    store, out = _store(tmp_path, pages)
+    nodes = out["nodes"].to_pandas()
+    ids = dict(zip(nodes["name"], nodes["node_id"]))
+    cls = [ids[n] for n in ("Initech Corp", "Umbrella Corp", "Wayne Corp")]
+
+    def walk(start):
+        kw = dict(predicates=["acquired", "released"],
+                  class_predicate="partnered_with")
+        got = store.reachable(start, **kw)
+        df = store.reachable_dataset(start, **kw).to_pandas()
+        assert dict(zip(df["node_id"], (int(x) for x in df["depth"]))) == got
+        return got
+
+    for start, d in ((ids["Stark Corp"], 1), (ids["Initech Corp"], 0)):
+        want = walk(start)
+        assert [want[n] for n in cls] == [d] * 3
+        assert d + 1 in want.values()  # the product, through Umbrella
+        for lim in (0, 1, 2):
+            monkeypatch.setattr(GraphStore, "DRIVER_BFS_LIMIT", lim)
+            assert walk(start) == want, (start, lim)
+        monkeypatch.undo()
 
 
 def test_chain_with_classes_joins_through_members(tmp_path):

@@ -144,7 +144,8 @@ def test_graphstore_over_incremental_store(tmp_path):
 
 def test_increment_sigkill_replay_equals_clean(tmp_path):
     """Crash safety: SIGKILL an ingest_increment mid-run (0.5 s after
-    its delta checkpoint's tmp dir ``increment=<id>.__tmp__`` appears,
+    its delta checkpoint's staging dir ``_staging/increment=<id>``
+    appears,
     which is when the link pass starts — tables unswapped, ledger not
     yet updated), replay it, and require equality with a clean
     build+ingest.  The edges ledger is the commit marker; a killed run
@@ -169,7 +170,7 @@ def test_increment_sigkill_replay_equals_clean(tmp_path):
          "ingest-add", p["b"], victim],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     deadline = time.time() + 120
-    marker = os.path.join(victim, "triples", "increment=inc-*")
+    marker = os.path.join(victim, "_staging", "increment=inc-*")
     while time.time() < deadline:
         if glob.glob(marker) or proc.poll() is not None:
             break
@@ -216,6 +217,50 @@ def test_increment_crash_after_checkpoint_replay_equals_clean(tmp_path,
         with pytest.raises(RuntimeError, match="injected crash"):
             ingest_increment(p["b"], victim)
     assert table_counts(victim) == before
+    assert ingest_increment(p["b"], victim)["skipped"] is False  # replay
+    for name, key in (("nodes", "node_id"), ("edges", "edge_id"),
+                      ("triples", ["url", "edge_id"])):
+        got = _table_df(read_graph_table(victim, name), key)
+        want = _table_df(read_graph_table(clean, name), key)
+        pd.testing.assert_frame_equal(got, want)
+
+
+def test_increment_crash_before_checkpoint_commit_is_invisible(
+        tmp_path, monkeypatch):
+    """Crash between the delta's link pass and its checkpoint commit.
+    The checkpoint is staged outside ``triples/``, so no ``.__tmp__`` or
+    ``.__old__`` name appears under it, and the triples count and an
+    edge's evidence stay at their pre-ingest values.  Replaying the
+    ingest then equals a clean build+ingest."""
+    from guacray.pipelines import increment
+    from guacray.query.graph import GraphStore
+
+    p = _split_pages(tmp_path, n=256, cut=128)
+    clean = str(tmp_path / "clean")
+    run_kg(p["a"], clean, num_buckets=32)
+    ingest_increment(p["b"], clean)
+
+    victim = str(tmp_path / "victim")
+    run_kg(p["a"], victim, num_buckets=32)
+
+    def evidence(store):
+        df = read_graph_table(store, "triples").to_pandas()
+        return df["edge_id"].value_counts().to_dict()
+    before, after = evidence(victim), evidence(clean)
+    # an edge the delta adds evidence to
+    edge = min(e for e, n in before.items() if after[e] > n)
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("injected crash before the checkpoint commit")
+    with monkeypatch.context() as m:
+        m.setattr(increment, "_commit_dir", crash)
+        with pytest.raises(RuntimeError, match="injected crash"):
+            ingest_increment(p["b"], victim)
+    tri = os.listdir(os.path.join(victim, "triples"))
+    assert not [d for d in tri if d.endswith((".__tmp__", ".__old__"))], tri
+    assert read_graph_table(victim, "triples").count() == sum(before.values())
+    assert GraphStore(victim).evidence_for_edge(edge).count() == before[edge]
+
     assert ingest_increment(p["b"], victim)["skipped"] is False  # replay
     for name, key in (("nodes", "node_id"), ("edges", "edge_id"),
                       ("triples", ["url", "edge_id"])):

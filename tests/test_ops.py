@@ -400,9 +400,10 @@ def test_curate_matches_driver_set_semantics():
     assert got == expect
 
 
-def test_semi_join_scale_path_matches_broadcast():
+def test_semi_join_scale_path_matches_broadcast(monkeypatch):
     """semi/anti results identical on the broadcast and the
-    hash-partitioned (threshold=0) paths."""
+    hash-partitioned (BROADCAST_ROWS=0) paths."""
+    from guacray.stages import agg
     from guacray.stages.agg import semi_join
     left = rd.from_arrow(pa.table({
         "k": pa.array([1, 2, 3, 4, 5, 5], type=pa.int64()),
@@ -414,8 +415,10 @@ def test_semi_join_scale_path_matches_broadcast():
     for anti in (False, True):
         a = semi_join(left, right, on="k", right_on="rk",
                       anti=anti).to_pandas()
-        b = semi_join(left, right, on="k", right_on="rk", anti=anti,
-                      broadcast_threshold=0).to_pandas()
+        with monkeypatch.context() as m:
+            m.setattr(agg, "BROADCAST_ROWS", 0)
+            b = semi_join(left, right, on="k", right_on="rk",
+                          anti=anti).to_pandas()
         a = a.sort_values(["k", "v"]).reset_index(drop=True)
         b = b.sort_values(["k", "v"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(a[["k", "v"]], b[["k", "v"]])
@@ -448,10 +451,11 @@ def test_brute_force_topk_multi_matches_single():
         pd.testing.assert_frame_equal(sub, single.reset_index(drop=True))
 
 
-def test_auto_join_right_rename_both_paths():
+def test_auto_join_right_rename_both_paths(monkeypatch):
     """right_rename must behave identically on the broadcast path and
-    the hash-partitioned (threshold=0) path, and project away
+    the hash-partitioned (BROADCAST_ROWS=0) path, and project away
     un-renamed right columns."""
+    from guacray.stages import agg
     from guacray.stages.agg import auto_join
     left = rd.from_arrow(pa.table({
         "k": pa.array([1, 2, 2, 3], type=pa.int64()),
@@ -465,8 +469,8 @@ def test_auto_join_right_rename_both_paths():
     rename = {"rk": "__rk", "payload": "__p"}
     frames = []
     for thr in (2_000_000, 0):
+        monkeypatch.setattr(agg, "BROADCAST_ROWS", thr)
         df = auto_join(left, right, on="k", right_on="__rk",
-                       broadcast_threshold=thr,
                        right_rename=rename).to_pandas()
         assert "noise" not in df.columns
         frames.append(df[["k", "v", "__p"]]
@@ -988,7 +992,8 @@ def test_resize_passthrough_keeps_original_metadata():
     assert (good["width"], good["height"]) == (8, 8)
 
 
-def test_left_lookup_join_paths_agree():
+def test_left_lookup_join_paths_agree(monkeypatch):
+    from guacray.stages import agg
     from guacray.stages.agg import left_lookup_join
     left = rd.from_arrow(pa.table({
         "k": pa.array(["a", "b", "c", "a", None], type=pa.string()),
@@ -998,10 +1003,10 @@ def test_left_lookup_join_paths_agree():
         "component": pa.array(["A", "C"], type=pa.string())}))
     want = {(1, "A"), (2, "b"), (3, "C"), (4, "A"), (5, None)}
     for thr in (2_000_000, 0):  # broadcast path, then hash-join path
+        monkeypatch.setattr(agg, "BROADCAST_ROWS", thr)
         got = left_lookup_join(left, right, on="k", right_on="node_id",
                                value_col="component", out="lab",
-                               default_from="k",
-                               broadcast_threshold=thr).to_pandas()
+                               default_from="k").to_pandas()
         pairs = {(int(v), None if pd.isna(l) else l)
                  for v, l in zip(got["v"], got["lab"])}
         assert pairs == want, thr
@@ -1056,6 +1061,19 @@ def test_tfidf_topk_hand_corpus():
     assert rk[(2, "cat")] == 1
 
 
+def test_no_env_knobs():
+    """Every plan choice reads its input and the package's constants: no
+    module under ``guacray/`` reads the process environment."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1] / "guacray"
+    env = re.compile(r"os\.environ|os\.getenv|\bgetenv\(|\benviron\b")
+    offenders = [str(p.relative_to(root)) for p in sorted(root.rglob("*.py"))
+                 if env.search(p.read_text())]
+    assert not offenders, offenders
+
+
 def test_single_bucket_exchange_implementation():
     """``agg.exchange`` is the one place a Dataset is coalesced with
     ``repartition`` and shuffled by ``groupby("bucket")``; a hand-written
@@ -1078,20 +1096,22 @@ def test_single_bucket_exchange_implementation():
     assert not masks, masks
 
 
-def test_left_lookup_join_miss_keeps_int_type():
+def test_left_lookup_join_miss_keeps_int_type(monkeypatch):
     """A left key with no match leaves an int64 value column int64 on
     the broadcast path (null for the miss), as on the hash-join path."""
     import ray
 
+    from guacray.stages import agg
     from guacray.stages.agg import left_lookup_join
     left = rd.from_arrow(pa.table({"k": pa.array(["a", "b", "c"])}))
     right = rd.from_arrow(pa.table({
         "node_id": pa.array(["a", "c"]),
         "val": pa.array([1, 3], type=pa.int64())}))
     for thr in (2_000_000, 0):  # broadcast path, then hash-join path
+        monkeypatch.setattr(agg, "BROADCAST_ROWS", thr)
         blocks = ray.get(left_lookup_join(
             left, right, on="k", right_on="node_id", value_col="val",
-            out="out", broadcast_threshold=thr).to_arrow_refs())
+            out="out").to_arrow_refs())
         # the hash join may add zero-row blocks with no schema
         got = pa.concat_tables([b for b in blocks if b.num_columns])
         assert got.schema.field("out").type == pa.int64(), thr

@@ -6,6 +6,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from guacray.stages import pagerank as pr
 from guacray.stages.pagerank import pagerank
 
 
@@ -37,18 +38,18 @@ def _numpy_pr(n, edges, iters=3, d=0.85):
 
 
 @pytest.mark.parametrize("iters", [1, 3])
-@pytest.mark.parametrize("driver_limit", [4_000_000, 0])
-def test_pagerank_vs_numpy(ray_session, iters, driver_limit):
+@pytest.mark.parametrize("limit", [4_000_000, 0])
+def test_pagerank_vs_numpy(ray_session, iters, limit, monkeypatch):
+    monkeypatch.setattr(pr, "DRIVER_ROWS", limit)
     # hub, chain, a dangling sink, an undirected pair (both directions),
     # a parallel multi-edge, and two isolated nodes (8, 9)
     edges = [(0, 1, False), (0, 2, False), (0, 3, False),
              (1, 2, False), (2, 3, False), (3, 4, False),
              (5, 6, True), (0, 1, False), (7, 0, False)]
     nodes, et = _graph(10, edges)
-    # driver_limit=0 forces the distributed dataset path; the default
+    # DRIVER_ROWS=0 forces the distributed dataset path; the default
     # takes the driver-resident exact path — both must agree
-    got = pagerank(rd.from_arrow(nodes), rd.from_arrow(et), iters=iters,
-                   driver_limit=driver_limit
+    got = pagerank(rd.from_arrow(nodes), rd.from_arrow(et), iters=iters
                    ).to_pandas().set_index("node_id")["rank"]
     ref = _numpy_pr(10, edges, iters=iters)
     assert len(got) == 10
@@ -76,16 +77,16 @@ def test_pagerank_empty_graph(ray_session):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("driver_limit", [4_000_000, 0])
-def test_pagerank_random_graph_vs_numpy(ray_session, seed, driver_limit):
+@pytest.mark.parametrize("limit", [4_000_000, 0])
+def test_pagerank_random_graph_vs_numpy(ray_session, seed, limit, monkeypatch):
+    monkeypatch.setattr(pr, "DRIVER_ROWS", limit)
     rng = np.random.RandomState(seed)
     n = 40
     m = 120
     edges = [(int(rng.randint(n)), int(rng.randint(n)),
               bool(rng.rand() < 0.2)) for _ in range(m)]
     nodes, et = _graph(n, edges)
-    got = pagerank(rd.from_arrow(nodes), rd.from_arrow(et), iters=3,
-                   driver_limit=driver_limit
+    got = pagerank(rd.from_arrow(nodes), rd.from_arrow(et), iters=3
                    ).to_pandas().set_index("node_id")["rank"]
     ref = _numpy_pr(n, edges, iters=3)
     assert len(got) == n
@@ -93,20 +94,20 @@ def test_pagerank_random_graph_vs_numpy(ray_session, seed, driver_limit):
         assert got[f"n{i:02d}"] == pytest.approx(ref[i], abs=1e-12)
 
 
-@pytest.mark.parametrize("driver_limit", [4_000_000, 0])
-def test_pagerank_missing_endpoint_edges(ray_session, driver_limit):
+@pytest.mark.parametrize("limit", [4_000_000, 0])
+def test_pagerank_missing_endpoint_edges(ray_session, limit, monkeypatch):
     """Edges referencing ids absent from the nodes table (e.g. after a
     node delete that left incident edges): both paths must agree — a
     known src's outdeg counts ALL its out-edges, contributions to a
     missing dst vanish (mass leaks), edges FROM a missing src
     contribute nothing."""
+    monkeypatch.setattr(pr, "DRIVER_ROWS", limit)
     nodes = pa.table({"node_id": ["a", "b", "c"]})
     et = pa.table({
         "subj_id": ["a", "a", "ghost", "b"],
         "obj_id": ["b", "ghost", "c", "c"],
         "undirected": [False, False, False, False]})
-    got = pagerank(rd.from_arrow(nodes), rd.from_arrow(et), iters=3,
-                   driver_limit=driver_limit
+    got = pagerank(rd.from_arrow(nodes), rd.from_arrow(et), iters=3
                    ).to_pandas().set_index("node_id")["rank"]
     # numpy reference with the same semantics
     d, n = 0.85, 3
@@ -151,15 +152,15 @@ def test_store_writers_refuse_flat_store(ray_session, tmp_path):
     assert sorted(os.listdir(flat)) == ["edges", "nodes"]
 
 
-@pytest.mark.parametrize("driver_limit", [4_000_000, 0])
-def test_personalized_pagerank_vs_numpy(ray_session, driver_limit):
+@pytest.mark.parametrize("limit", [4_000_000, 0])
+def test_personalized_pagerank_vs_numpy(ray_session, limit, monkeypatch):
+    monkeypatch.setattr(pr, "DRIVER_ROWS", limit)
     edges = [(0, 1, False), (1, 2, False), (2, 0, False),
              (3, 4, True), (0, 3, False)]
     nodes, et = _graph(6, edges)  # node 5 isolated
     seeds = ["n00", "n04"]
     got = pagerank(rd.from_arrow(nodes), rd.from_arrow(et), iters=3,
-                   seeds=seeds, driver_limit=driver_limit
-                   ).to_pandas().set_index("node_id")["rank"]
+                   seeds=seeds).to_pandas().set_index("node_id")["rank"]
     # numpy reference with a seeded restart vector
     n, d = 6, 0.85
     src, dst = [], []
@@ -184,18 +185,19 @@ def test_personalized_pagerank_vs_numpy(ray_session, driver_limit):
     assert got["n05"] == 0.0
 
 
-@pytest.mark.parametrize("driver_limit", [4_000_000, 0])
-def test_personalized_pagerank_duplicate_seeds(ray_session, driver_limit):
+@pytest.mark.parametrize("limit", [4_000_000, 0])
+def test_personalized_pagerank_duplicate_seeds(ray_session, limit,
+                                               monkeypatch):
     """A repeated seed counts once: the restart mass splits over the
     DISTINCT seeds on both the driver and the dataset path."""
+    monkeypatch.setattr(pr, "DRIVER_ROWS", limit)
     edges = [(0, 1, False), (1, 2, False), (2, 0, False),
              (3, 4, True), (0, 3, False)]
     nodes, et = _graph(6, edges)
 
     def ranks(seeds):
         return pagerank(rd.from_arrow(nodes), rd.from_arrow(et), iters=3,
-                        seeds=seeds, driver_limit=driver_limit
-                        ).to_pandas().set_index("node_id")["rank"]
+                        seeds=seeds).to_pandas().set_index("node_id")["rank"]
 
     dup, dedup = ranks(["n04", "n00", "n04"]), ranks(["n00", "n04"])
     for i in range(6):

@@ -246,49 +246,45 @@ def test_source_registry(tmp_path):
     assert READERS["text"](str(t)).count() == 2
 
 
-def test_reachable_hybrid_parity(store):
-    """The dataset-resident BFS (forced via driver_limit=0) must equal
-    the driver-side walk for every direction, and the class-aware walk
-    must match under the env-var escape hatch."""
+def test_reachable_hybrid_parity(store, monkeypatch):
+    """The dataset-resident BFS (forced by a zero DRIVER_BFS_LIMIT) must
+    equal the driver-side walk for every direction, and so must the
+    class-aware walk, in both its dict and its Dataset form."""
     seed = store.nodes(node_type="org").to_pandas()["node_id"].min()
-    for direction in ("out", "in", "both"):
-        a = store.reachable(seed, direction=direction, max_depth=6)
-        b = store.reachable(seed, direction=direction, max_depth=6,
-                            driver_limit=0)
-        assert a == b and a[seed] == 0
-    a = store.reachable_with_classes(seed, direction="out", max_depth=6)
-    os.environ["GUACRAY_BFS_DRIVER_LIMIT"] = "0"
-    try:
-        b = store.reachable_with_classes(seed, direction="out", max_depth=6)
-        ds = store.reachable_dataset(seed, direction="out", max_depth=6,
-                                     class_predicate="partnered_with")
-        df = ds.to_pandas()
-        c = dict(zip(df["node_id"], (int(x) for x in df["depth"])))
-    finally:
-        del os.environ["GUACRAY_BFS_DRIVER_LIMIT"]
+    want = {d: store.reachable(seed, direction=d, max_depth=6)
+            for d in ("out", "in", "both")}
+    a = store.reachable(seed, direction="out", max_depth=6,
+                        class_predicate="partnered_with")
+    monkeypatch.setattr(GraphStore, "DRIVER_BFS_LIMIT", 0)
+    for direction, w in want.items():
+        assert store.reachable(seed, direction=direction, max_depth=6) == w
+        assert w[seed] == 0
+    b = store.reachable(seed, direction="out", max_depth=6,
+                        class_predicate="partnered_with")
+    ds = store.reachable_dataset(seed, direction="out", max_depth=6,
+                                 class_predicate="partnered_with")
+    df = ds.to_pandas()
+    c = dict(zip(df["node_id"], (int(x) for x in df["depth"])))
     assert a == b == c
 
 
-def test_reachable_mid_walk_escalation(store):
-    """A small nonzero driver_limit escalates MID-walk (after some
+def test_reachable_mid_walk_escalation(store, monkeypatch):
+    """A small nonzero DRIVER_BFS_LIMIT escalates MID-walk (after some
     driver-side hops); the continuation must pick up exactly where the
     driver phase stopped."""
     seed = store.nodes(node_type="org").to_pandas()["node_id"].min()
     want = store.reachable(seed, direction="out", max_depth=8)
     for lim in (1, 5, 50):
-        got = store.reachable(seed, direction="out", max_depth=8,
-                              driver_limit=lim)
+        monkeypatch.setattr(GraphStore, "DRIVER_BFS_LIMIT", lim)
+        got = store.reachable(seed, direction="out", max_depth=8)
         assert got == want
 
 
-def test_reachable_hub_graph_distributed(tmp_path):
-    """Synthetic hub: one center fanning out to n leaves (the expansion
-    that would flood the driver), plus a chain behind the hub.  The
-    distributed path must return all depths without the driver ever
-    collecting the expansion (cap << n)."""
+def _hub_store(tmp_path, n):
+    """Synthetic hub store: node "hub" fanning out to n leaves (the
+    expansion that would flood the driver), behind a chain a -> hub -> b."""
     import pyarrow as pa
 
-    n = 3000
     center, leaves = "hub", [f"leaf{i:05d}" for i in range(n)]
     edges = {
         "edge_id": [f"e{i}" for i in range(n + 2)],
@@ -313,11 +309,30 @@ def test_reachable_hub_graph_distributed(tmp_path):
                 os.path.join(d, "edges"), schemas.EDGES)
     write_table(rd.from_arrow(pa.table(nodes).cast(schemas.NODES)),
                 os.path.join(d, "nodes"), schemas.NODES)
-    s = GraphStore(d)
-    got = s.reachable("a", direction="out", max_depth=4, driver_limit=100)
-    assert got["a"] == 0 and got[center] == 1 and got["b"] == 2
+    return GraphStore(d)
+
+
+def test_reachable_hub_graph_distributed(tmp_path, monkeypatch):
+    """The distributed path must return all depths of the hub graph
+    without the driver ever collecting the hub's expansion
+    (DRIVER_BFS_LIMIT << n)."""
+    n = 3000
+    s = _hub_store(tmp_path, n)
+    monkeypatch.setattr(GraphStore, "DRIVER_BFS_LIMIT", 100)
+    got = s.reachable("a", direction="out", max_depth=4)
+    assert got["a"] == 0 and got["hub"] == 1 and got["b"] == 2
     assert len(got) == n + 3 and got["leaf00000"] == 2
     # dataset form agrees
-    df = s.reachable_dataset("a", direction="out", max_depth=4,
-                             driver_limit=100).to_pandas()
+    df = s.reachable_dataset("a", direction="out", max_depth=4).to_pandas()
     assert dict(zip(df["node_id"], (int(x) for x in df["depth"]))) == got
+
+
+def test_bfs_path_refuses_hub_expansion(tmp_path, monkeypatch):
+    """bfs_path collects each hop under DRIVER_BFS_LIMIT: the hop that
+    expands the hub past it fails loudly, naming the hop and the
+    limit; a hop under it still finds its path."""
+    s = _hub_store(tmp_path, 3000)
+    monkeypatch.setattr(GraphStore, "DRIVER_BFS_LIMIT", 100)
+    assert s.bfs_path("a", "hub") == ["a", "hub"]
+    with pytest.raises(RuntimeError, match=r"hop 2: .* 100 edge rows"):
+        s.bfs_path("a", "leaf02999")
