@@ -355,15 +355,15 @@ def ingest_increment(pages_path, out_dir: str) -> dict:
     """Merge new pages into an existing store (built by ``run_kg``).
 
     The delta goes through the build's own plan, ``checkpointed_rows``
-    (checkpoint mode by the same width dispatch, link pool sized to the
-    delta): its partial rows are materialized — canonical-size, the
-    touched buckets' names — and its checkpoint partition
-    ``triples/increment=<id>/``, staged outside ``triples/``
-    (``stage_checkpoint``), is committed before any table moves.
-    Only the bucket partitions the delta's content-hash ids land in are
-    then read and rewritten; the other buckets are hardlinked.  At the
-    ``fused`` width that is 3 Ray executions: the link pass with its
-    checkpoint, the touched-bucket pass and the store write.
+    (link pool sized to the delta): its partial rows are materialized —
+    canonical-size, the touched buckets' names — and its checkpoint
+    partition ``triples/increment=<id>/``, written inside that same
+    link pass and staged outside ``triples/`` (``stage_checkpoint``),
+    is committed before any table moves.  Only the bucket partitions
+    the delta's content-hash ids land in are then read and rewritten;
+    the other buckets are hardlinked.  That is 3 Ray executions at
+    every width: the link pass with its checkpoint, the touched-bucket
+    pass and the store write.
 
     Replaying an already-applied increment (same input-file list) is a
     no-op.  Returns the table counts, the touched-bucket counts and

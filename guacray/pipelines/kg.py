@@ -7,13 +7,15 @@ SURVEY.md §3.1), end to end:
     read_parquet(pages)                      # collectors
       → normalize → extract → link+ids       # processor+parsers+scanners
         (fused into ONE actor-pool pass)     #   (content-hash identity)
-      → triples checkpoint (compacted parquet)
+      → triples checkpoint, written block by block inside the same
+        streaming execution that feeds the exchange
       → canonicalize (combiner + ONE bucketed exchange → nodes+edges)
       → nodes/bucket=<b>/ edges/bucket=<b>/  # assembler backend tables
         (evidence = projection view of the checkpoint)
 
 Everything up to the exchange's rows is ``checkpointed_rows``, the one
-page-ingest plan: ``run_kg`` hands a build's rows to the store writer,
+page-ingest plan at every cluster width: ``run_kg`` hands a build's
+rows to the store writer (ONE Ray execution in all),
 and ``ingest_increment`` (``pipelines/increment.py``) a delta's rows
 plus the live rows of the buckets they touch.  The published tables
 are the one store layout every writer maintains: one bucket per
@@ -35,7 +37,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.agg import cluster_cpus, resolve_buckets
+from ..stages.agg import resolve_buckets
 from ..stages.canonicalize import (CANON_COLS, combined_rows,
                                    graph_tables)
 from ..stages.extract import extract
@@ -181,10 +183,8 @@ def _fused_checkpoint_writer(tmp_dir: str):
     checkpoint tmp dir AND emit the pruned canonicalize projection.
 
     This overlaps the checkpoint write with the downstream exchange in
-    ONE streaming execution — the disk mode's write-then-re-read pays a
-    full executor teardown/startup plus a serial read-back of the whole
-    checkpoint between the two, which is the pipeline's largest
-    non-scaling term at saturation (BASELINE.md round-3 study).
+    ONE streaming execution: no executor teardown/startup and no serial
+    read-back of the whole checkpoint between the two.
 
     The write is inline: the file has landed before the task returns,
     so every checkpoint block is inside Ray's lineage.
@@ -239,8 +239,9 @@ def kg_datasets(pages_ds, alias_ref=None,
     call executes the pipeline once.  ``triples`` and ``evidence`` stay
     lazy and re-execute the (cheap, deterministic) lineage per
     consumer: triples-only callers should use ``linked_triples``, and
-    callers that consume every table at scale should write triples
-    first and read it back (see ``run_kg``).
+    callers that consume every table at scale should checkpoint the
+    triples inside the pass that feeds the exchange, as ``run_kg`` does
+    (``checkpointed_rows``).
     """
     triples = linked_triples(pages_ds, alias_ref)
     nodes, edges = graph_tables(triples, num_buckets)
@@ -279,42 +280,6 @@ def evidence_view(out_dir: str):
                            columns=schemas.EVIDENCE.names)
 
 
-# the widest cluster (CPUs) whose builds checkpoint ``fused``
-FUSED_MAX_CPUS = 8
-
-
-def _auto_checkpoint_mode() -> str:
-    """Pick disk vs fused checkpointing from cluster width.
-
-    Round-4 interleaved A/Bs (v3 fixtures, run_kg, min-of-2 per fresh
-    process, AFTER the substring-gated extraction landed) separate the
-    modes purely by CPU count — input size does not flip a single
-    cell:
-
-        262k @  8 CPUs: fused 27.3 s  vs disk 35.8 s
-        1M   @  8 CPUs: fused 30.9 s  vs disk 39.6 s
-        262k @ 16 CPUs: disk  20.1 s  vs fused 27.6 s
-        262k @ 32 CPUs: disk  13.0 s  vs fused 16.8 s
-        1M   @ 32 CPUs: disk  15.2 s  vs fused 17.0 s
-
-    The fused cells were measured with the block write on a worker
-    thread; the inline write ``fused`` runs measured 31.8 s vs disk's
-    37.7 s at 8 CPUs (round 3) and costs less CPU than the threaded
-    write at 2 CPUs (BASELINE.md).
-
-    Narrow deployments are compute-bound: fused's removal of the
-    write→teardown→re-read boundary wins.  At width, the single fused
-    execution packs poorly — the actor pool holds nearly every slot
-    while the exchange's task ops need them — and the two-execution
-    disk pipeline wins despite the boundary.  Re-measure if the link
-    kernel's cost profile shifts.  Outputs are byte-identical across
-    modes (test_checkpoint_modes_equal_outputs), so the dispatch never
-    changes results; disk remains the wide choice and the resume
-    boundary at 100 TB.
-    """
-    return "fused" if cluster_cpus() <= FUSED_MAX_CPUS else "disk"
-
-
 def seal_checkpoint(part: str) -> None:
     """Give a checkpoint partition that received no rows one empty
     canonical-schema file, so readers still see a valid table."""
@@ -324,7 +289,6 @@ def seal_checkpoint(part: str) -> None:
 
 
 def checkpointed_rows(pages_ds, part: str, num_buckets: int, alias_ref, *,
-                      checkpoint_mode: str | None = None,
                       link_concurrency=None, extra_triples=None):
     """The one page-ingest plan: pages Dataset → the store's exchange
     rows (``combined_rows``, bucketed for a ``num_buckets`` store), with
@@ -332,51 +296,31 @@ def checkpointed_rows(pages_ds, part: str, num_buckets: int, alias_ref, *,
     ``part``, a tmp dir cleared first.  ``run_kg`` and
     ``ingest_increment`` both build through it.
 
-    normalize → extract → link run as one actor pass, then the
-    checkpoint meets the rows by ``checkpoint_mode`` (``None`` =
-    ``_auto_checkpoint_mode``'s width dispatch):
-
-      "disk"  — the checkpoint is written here (one execution) and
-                re-read pruned to ``CANON_COLS``; the rows are a fresh
-                plan over it.  Wins wide clusters and is the resume
-                boundary at 100 TB.
-      "fused" — nothing runs here: each triples block is written to
-                ``part`` inside the same map task that feeds the rows
-                (``_fused_checkpoint_writer``), so the checkpoint is
-                complete once the rows' execution has run.  Wins narrow
-                clusters.
-
-    Either way the caller runs the rows, then ``seal_checkpoint(part)``
-    and promotes the tmp dir (``_commit_dir``).
+    normalize → extract → link run as one actor pass, and nothing runs
+    here: each triples block is written to ``part`` inside the same map
+    task that feeds the rows (``_fused_checkpoint_writer``), so the
+    checkpoint is complete once the rows' execution has run.  The
+    caller runs the rows, then ``seal_checkpoint(part)`` and promotes
+    the tmp dir (``_commit_dir``).
     """
     triples = linked_triples(pages_ds, alias_ref, link_concurrency)
     if extra_triples is not None:
         triples = triples.union(extra_triples)
     shutil.rmtree(part, ignore_errors=True)
     os.makedirs(part)
-    if (checkpoint_mode or _auto_checkpoint_mode()) == "fused":
-        # batch_size=200k: the writer coalesces the linker's many small
-        # output blocks into compacted checkpoint files (same 200k-row
-        # target as disk mode's min_rows_per_file) AND hands the
-        # downstream combiner big blocks — per-block dedup on small
-        # blocks collapses almost nothing and the exchange would
-        # shuffle ~the full triple volume (first fused A/B measured
-        # 25% SLOWER than disk for exactly this reason)
-        tri = triples.map_batches(_fused_checkpoint_writer(part),
-                                  batch_format="pyarrow",
-                                  batch_size=200_000)
-    else:
-        triples.write_parquet(part, min_rows_per_file=200_000)
-        seal_checkpoint(part)
-        # pruned re-read: the exchange never touches url/document_ref/
-        # raw surfaces — those columns stay on disk for evidence_view
-        tri = read_parquet_fast(part, columns=CANON_COLS)
+    # batch_size=200k: the writer coalesces the linker's many small
+    # output blocks into compacted checkpoint files AND hands the
+    # downstream combiner big blocks — per-block dedup on small blocks
+    # collapses almost nothing and the exchange would shuffle ~the full
+    # triple volume (the first inline-writer A/B measured 25% slower
+    # than a write-then-re-read for exactly this reason)
+    tri = triples.map_batches(_fused_checkpoint_writer(part),
+                              batch_format="pyarrow", batch_size=200_000)
     return combined_rows(tri, num_buckets)
 
 
 def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
-           seed: int = 42, checkpoint_mode: str | None = None,
-           attestations_path: str | None = None,
+           seed: int = 42, attestations_path: str | None = None,
            public_keys: dict[str, bytes] | None = None) -> dict:
     """One-shot build: pages parquet (a file, a dir or a list of files)
     → the store under ``out_dir``: ``triples/increment=<id>/`` plus
@@ -395,20 +339,15 @@ def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
     behind; the old store's enrichment scan state and tombstone log go
     with it (``publish_build``).
 
-    The rows come from ``checkpointed_rows``: ``checkpoint_mode``
-    "fused" builds in ONE Ray execution (the checkpoint tmp dir is
-    promoted once the exchange has run, just before the tables),
-    "disk" in two; anything but those and ``None`` raises
-    ``ValueError`` before any work.
+    The rows come from ``checkpointed_rows``, so a build is ONE Ray
+    execution at every cluster width: the checkpoint tmp dir is
+    promoted once the exchange has run, just before the tables.
 
     The evidence table is a projection view of the checkpoint
     (``evidence_view``) — no extra pass.  Returns row counts per table
     (parquet footers, no extra Ray job).
     """
     from .increment import publish_build
-    if checkpoint_mode not in (None, "disk", "fused"):
-        raise ValueError("checkpoint_mode must be None, 'disk' or "
-                         f"'fused', got {checkpoint_mode!r}")
     nb = resolve_buckets(num_buckets)
     inc = _increment_id(_input_files(pages_path))
     att = None
@@ -433,12 +372,11 @@ def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
     shutil.rmtree(tri_tmp, ignore_errors=True)
     rows = checkpointed_rows(read_parquet_fast(pages_path), part, nb,
                              broadcast_alias_map(seed),
-                             checkpoint_mode=checkpoint_mode,
                              extra_triples=att)
 
     def commit_triples():
-        # the exchange has run, so every upstream task (and a fused
-        # run's inline checkpoint writes) has completed
+        # the exchange has run, so every upstream task (and its
+        # inline checkpoint write) has completed
         seal_checkpoint(part)
         _commit_dir(tri_tmp, tri_dir)
     publish_build(out_dir, rows, base=[inc], num_buckets=nb, seed=seed,

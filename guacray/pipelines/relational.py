@@ -400,7 +400,7 @@ def events_type_stats(sf_dir: str):
     return out.map_batches(finish, batch_format="pyarrow")
 
 
-def events_sessions(sf_dir: str, gap_minutes: int = 30, num_buckets: int | None = None):
+def events_sessions(sf_dir: str, gap_minutes: int = 30):
     """Session windows: per-user event runs split at >30-min gaps.
 
     Ray Data has no event-time windows; the idiomatic expression is
@@ -410,8 +410,7 @@ def events_sessions(sf_dir: str, gap_minutes: int = 30, num_buckets: int | None 
     """
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["user_id", "ts", "event_id"])
-    ds = bucketed(ds, ["user_id"],
-                  resolve_buckets(num_buckets, ROW_BUCKETS))
+    ds = bucketed(ds, ["user_id"], resolve_buckets(None, ROW_BUCKETS))
 
     gap = pd.Timedelta(minutes=gap_minutes)
 
@@ -431,14 +430,13 @@ def events_sessions(sf_dir: str, gap_minutes: int = 30, num_buckets: int | None 
     return ds.groupby("bucket").map_groups(sessionize, batch_format="pandas")
 
 
-def top_order_per_customer(sf_dir: str, num_buckets: int | None = None):
+def top_order_per_customer(sf_dir: str):
     """Per-group top-1 (window rank): each customer's highest-value
     order.  The row_number()-over-partition pattern: hash-bucket by
     key, vectorized idxmax within each bucket."""
     ds = rd.read_parquet(_t(sf_dir, "orders"),
                          columns=["o_custkey", "o_orderkey", "o_totalprice"])
-    ds = bucketed(ds, ["o_custkey"],
-                  resolve_buckets(num_buckets, ROW_BUCKETS))
+    ds = bucketed(ds, ["o_custkey"], resolve_buckets(None, ROW_BUCKETS))
 
     def top1(df: pd.DataFrame) -> pd.DataFrame:
         # deterministic tie-break: highest price, then lowest orderkey
@@ -450,7 +448,7 @@ def top_order_per_customer(sf_dir: str, num_buckets: int | None = None):
     return ds.groupby("bucket").map_groups(top1, batch_format="pandas")
 
 
-def orders_rank_window(sf_dir: str, num_buckets: int | None = None):
+def orders_rank_window(sf_dir: str):
     """The full rank-window family in one pass: RANK / DENSE_RANK over
     (o_totalprice DESC) and ROW_NUMBER / NTILE(4) over (o_totalprice
     DESC, o_orderkey), partitioned by customer.  Same distributed shape
@@ -458,8 +456,7 @@ def orders_rank_window(sf_dir: str, num_buckets: int | None = None):
     per bucket (one Python call per bucket, never per group)."""
     ds = rd.read_parquet(_t(sf_dir, "orders"),
                          columns=["o_custkey", "o_orderkey", "o_totalprice"])
-    ds = bucketed(ds, ["o_custkey"],
-                  resolve_buckets(num_buckets, ROW_BUCKETS))
+    ds = bucketed(ds, ["o_custkey"], resolve_buckets(None, ROW_BUCKETS))
 
     def ranks(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["o_custkey", "o_totalprice", "o_orderkey"],
@@ -484,14 +481,13 @@ def orders_rank_window(sf_dir: str, num_buckets: int | None = None):
     return ds.groupby("bucket").map_groups(ranks, batch_format="pandas")
 
 
-def events_gap_us(sf_dir: str, num_buckets: int | None = None):
+def events_gap_us(sf_dir: str):
     """Lag window: microseconds since the user's previous event (-1 for
     the first).  The per-key ordered-window pattern: hash-bucket by
     user, vectorized pandas diff within each bucket."""
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts"])
-    ds = bucketed(ds, ["user_id"],
-                  resolve_buckets(num_buckets, ROW_BUCKETS))
+    ds = bucketed(ds, ["user_id"], resolve_buckets(None, ROW_BUCKETS))
 
     def lag_fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"])
@@ -532,8 +528,7 @@ def events_asof_order(sf_dir: str):
     return out.map_batches(project, batch_format="pyarrow")
 
 
-def events_sliding_avg(sf_dir: str, window_s: int = 3600,
-                       num_buckets: int | None = None):
+def events_sliding_avg(sf_dir: str, window_s: int = 3600):
     """Sliding event-time window: per-event trailing-1h average of
     `value` within the user's own stream.  Ray Data has no window
     operator; the expression is hash-bucket by key + per-bucket
@@ -541,8 +536,7 @@ def events_sliding_avg(sf_dir: str, window_s: int = 3600,
     equivalent to SQL `RANGE INTERVAL 1 HOUR PRECEDING`."""
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts", "value"])
-    ds = bucketed(ds, ["user_id"],
-                  resolve_buckets(num_buckets, ROW_BUCKETS))
+    ds = bucketed(ds, ["user_id"], resolve_buckets(None, ROW_BUCKETS))
 
     def roll(df: pd.DataFrame) -> pd.DataFrame:
         from ..functions.rounding import np_round_half_away
@@ -592,15 +586,14 @@ def events_sliding_avg(sf_dir: str, window_s: int = 3600,
     return ds.groupby("bucket").map_groups(roll, batch_format="pandas")
 
 
-def events_running_total(sf_dir: str, num_buckets: int | None = None):
+def events_running_total(sf_dir: str):
     """Cumulative window (ROWS UNBOUNDED PRECEDING): per-user running
     total of `value` in (ts, event_id) order — the remaining classic
     window frame next to lag/sliding/session/rank.  Same expression
     pattern: hash-bucket by user, vectorized pandas cumsum per bucket."""
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts", "value"])
-    ds = bucketed(ds, ["user_id"],
-                  resolve_buckets(num_buckets, ROW_BUCKETS))
+    ds = bucketed(ds, ["user_id"], resolve_buckets(None, ROW_BUCKETS))
 
     def run_tot(df: pd.DataFrame) -> pd.DataFrame:
         from ..functions.rounding import round_half_away
@@ -612,14 +605,13 @@ def events_running_total(sf_dir: str, num_buckets: int | None = None):
     return ds.groupby("bucket").map_groups(run_tot, batch_format="pandas")
 
 
-def events_first_type(sf_dir: str, num_buckets: int | None = None):
+def events_first_type(sf_dir: str):
     """first_value window: each user's first event_type in (ts,
     event_id) order — one row per user."""
     ds = rd.read_parquet(_t(sf_dir, "events"),
                          columns=["event_id", "user_id", "ts",
                                   "event_type"])
-    ds = bucketed(ds, ["user_id"],
-                  resolve_buckets(num_buckets, ROW_BUCKETS))
+    ds = bucketed(ds, ["user_id"], resolve_buckets(None, ROW_BUCKETS))
 
     def first(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"])
@@ -988,14 +980,13 @@ def embedding_centroids(sf_dir: str):
     return label_centroids(ds)
 
 
-def doc_stratified_sample(sf_dir: str, per_group: int = 20, seed: int = 7,
-                          num_buckets: int | None = None):
+def doc_stratified_sample(sf_dir: str, per_group: int = 20, seed: int = 7):
     """Deterministic stratified sample: ``per_group`` docs per language,
     selected by md5-hash order (a seeded, engine-independent shuffle —
     the same ranking is expressible in SQL, so this sampling op is
     fully oracle-checked, unlike RNG-based sampling)."""
     import hashlib
-    num_buckets = resolve_buckets(num_buckets, ROW_BUCKETS)
+    num_buckets = resolve_buckets(None, ROW_BUCKETS)
     ds = rd.read_parquet(_t(sf_dir, "documents"), columns=["doc_id", "lang"])
 
     def rank_key(t: pa.Table) -> pa.Table:

@@ -20,6 +20,9 @@ import pyarrow as pa
 from ..functions.text import extract_raw_triples
 from .agg import grouped_agg
 
+# normalized docs per extract task
+BATCH_ROWS = 512
+
 
 def extract_batch(batch: pa.Table) -> pa.Table:
     urls, tss, drefs = [], [], []
@@ -52,10 +55,10 @@ def extract_batch(batch: pa.Table) -> pa.Table:
     })
 
 
-def extract(ds, batch_size: int = 512):
+def extract(ds):
     """normalized docs Dataset → raw triples Dataset (exploded)."""
     return ds.map_batches(extract_batch, batch_format="pyarrow",
-                          batch_size=batch_size)
+                          batch_size=BATCH_ROWS)
 
 
 def identifier_strings(triples_ds, num_buckets: int | None = None):

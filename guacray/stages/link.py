@@ -21,6 +21,9 @@ import pyarrow.compute as pc
 
 from .agg import cluster_cpus
 
+# rows per link actor call; see ``link``
+BATCH_ROWS = 512
+
 
 class Linker:
     """Actor-pool batch linker.
@@ -74,19 +77,19 @@ def default_pool_size() -> tuple[int, int]:
     return (max(1, cpus // 2), max(2, cpus - 2))
 
 
-def link(ds, alias_ref=None, concurrency=None, batch_size: int = 512):
+def link(ds, alias_ref=None, concurrency=None):
     """The link actor pool: ``concurrency`` actors (default
     ``default_pool_size``), one CPU each at width ≥ 2.  At width 1 the
     actors take no CPU slot: a 1-CPU actor (even a 0.5-CPU one) holds
     the only slot, the 1-CPU read task behind it stays pending, and the
     build makes no progress and raises nothing.
 
-    batch_size is deliberately small: upstream normalize/extract fuse
+    ``BATCH_ROWS`` is deliberately small: upstream normalize/extract fuse
     into this actor stage, so the batch unit here is PAGES (≈1.5 ms of
     UDF work each) — 512 keeps task granularity high enough that an
     autoscaled pool stays busy instead of 30 actors idling behind 31
     giant tasks."""
     return ds.map_batches(Linker, fn_constructor_kwargs={"alias_ref": alias_ref},
-                          batch_format="pyarrow", batch_size=batch_size,
+                          batch_format="pyarrow", batch_size=BATCH_ROWS,
                           concurrency=concurrency or default_pool_size(),
                           num_cpus=1 if cluster_cpus() >= 2 else 0)

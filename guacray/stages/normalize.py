@@ -24,6 +24,9 @@ from ..functions.text import ACCEPTED_LANGS, extract_text
 
 _LANGS = pa.array(sorted(ACCEPTED_LANGS), type=pa.string())
 
+# pages per normalize (and quarantine) task
+BATCH_ROWS = 256
+
 
 def guess_kind(blob: bytes) -> str:
     """Document-kind guesser — the GuessDocument analog
@@ -61,13 +64,13 @@ def normalize_batch(batch: pa.Table) -> pa.Table:
     })
 
 
-def normalize(ds, batch_size: int = 256):
+def normalize(ds):
     """pages Dataset → normalized docs Dataset (html dropped)."""
     return ds.map_batches(normalize_batch, batch_format="pyarrow",
-                          batch_size=batch_size)
+                          batch_size=BATCH_ROWS)
 
 
-def quarantined(ds, batch_size: int = 256):
+def quarantined(ds):
     """Dead-letter dataset: the rows the gate rejects, with a reason.
 
     The reference logs-and-skips poison documents
@@ -87,4 +90,4 @@ def quarantined(ds, batch_size: int = 256):
             "reason": reason,
         })
     return ds.map_batches(fn, batch_format="pyarrow",
-                          batch_size=batch_size)
+                          batch_size=BATCH_ROWS)

@@ -130,26 +130,37 @@ def test_pr_gate_at_larger_corpus():
     assert precision == 1.0 and recall == 1.0
 
 
-def test_checkpoint_modes_equal_outputs(small_pages_path, tmp_path):
+def test_checkpoint_modes_equal_outputs(small_pages, small_pages_path,
+                                        tmp_path):
+    """A build's tables equal the reference graph, its triples
+    checkpoint holds every reference triple, and its store is one
+    bucket per cluster CPU with one file per bucket dir."""
     import json
     import os
     import ray
+    from guacray import schemas
     from guacray.pipelines.increment import read_graph_table
     from guacray.pipelines.kg import run_kg
     from guacray.stages.agg import (JOIN_PARTITIONS, ROW_BUCKETS,
                                     cluster_cpus, resolve_buckets)
-    a, b = str(tmp_path / "disk"), str(tmp_path / "fused")
-    assert run_kg(small_pages_path, a, checkpoint_mode="disk") \
-        == run_kg(small_pages_path, b, checkpoint_mode="fused")
-    for t, key in (("nodes", ["node_id"]), ("edges", ["edge_id"]),
-                   ("triples", ["url", "edge_id"])):
-        x = read_graph_table(a, t).to_pandas() \
-            .sort_values(key).reset_index(drop=True)
-        y = read_graph_table(b, t).to_pandas() \
-            .sort_values(key).reset_index(drop=True)
-        pd.testing.assert_frame_equal(x, y[x.columns])
+    out = str(tmp_path / "out")
+    counts = run_kg(small_pages_path, out)
+    for rows, schema, t, key in zip(
+            reference_graph(small_pages), (schemas.NODES, schemas.EDGES),
+            ("nodes", "edges"), ("node_id", "edge_id")):
+        want = pa.Table.from_pylist(rows, schema=schema).sort_by(key)
+        got = pa.Table.from_pylist(read_graph_table(out, t).take_all(),
+                                   schema=schema)
+        assert got.sort_by(key).equals(want), t
+        assert counts[t] == want.num_rows, t
+    key = ["document_ref", "subj_key", "predicate", "obj_key"]
+    tri = read_graph_table(out, "triples").to_pandas()
+    ref = pd.DataFrame(reference_triples(small_pages))
+    assert sorted(map(tuple, tri[key].values)) \
+        == sorted(map(tuple, ref[key].values))
+    assert counts["triples"] == counts["evidence"] == len(ref)
     # the exchange is one bucket per cluster CPU and each exchange
-    # bucket is one store bucket, so neither mode publishes more table
+    # bucket is one store bucket, so a build publishes no more table
     # files than the cluster is wide, nor more than one per bucket
     width = int(ray.cluster_resources()["CPU"])
     assert cluster_cpus() == resolve_buckets(None) == width
@@ -157,14 +168,13 @@ def test_checkpoint_modes_equal_outputs(small_pages_path, tmp_path):
     assert resolve_buckets(None, ROW_BUCKETS) == max(32, width)
     assert resolve_buckets(None, JOIN_PARTITIONS) == max(8, width)
     assert resolve_buckets(3, ROW_BUCKETS) == 3
-    for d in (a, b):
-        for t in ("nodes", "edges"):
-            with open(f"{d}/{t}/_applied.json") as f:
-                assert json.load(f)["num_buckets"] == width
-            per_dir = [sum(f.endswith(".parquet") for f in fs)
-                       for _, _, fs in os.walk(f"{d}/{t}")]
-            assert 1 <= sum(per_dir) <= width, (d, t, per_dir)
-            assert max(per_dir) == 1, (d, t, per_dir)
+    for t in ("nodes", "edges"):
+        with open(f"{out}/{t}/_applied.json") as f:
+            assert json.load(f)["num_buckets"] == width
+        per_dir = [sum(f.endswith(".parquet") for f in fs)
+                   for _, _, fs in os.walk(f"{out}/{t}")]
+        assert 1 <= sum(per_dir) <= width, (t, per_dir)
+        assert max(per_dir) == 1, (t, per_dir)
 
 
 @pytest.fixture
@@ -182,28 +192,47 @@ def ray_executions(monkeypatch):
 
 
 def test_run_kg_ray_executions(small_pages_path, tmp_path, ray_executions):
-    """A build is one Ray execution in fused mode (read → link →
-    checkpoint → exchange → bucket files) and two in disk mode (the
-    checkpoint write, then the exchange): the reduce tasks write the
-    store, so no table has a write plan of its own."""
+    """A build is one Ray execution (read → link → checkpoint →
+    exchange → bucket files): the reduce tasks write the store, so no
+    table has a write plan of its own."""
     from guacray.pipelines.kg import run_kg
-    for mode, n in (("fused", 1), ("disk", 2)):
-        ray_executions.clear()
-        run_kg(small_pages_path, str(tmp_path / mode), checkpoint_mode=mode)
-        assert len(ray_executions) == n, (mode, ray_executions)
+    run_kg(small_pages_path, str(tmp_path / "out"))
+    assert len(ray_executions) == 1, ray_executions
+
+
+def test_run_kg_plan_ignores_width(small_pages_path, tmp_path, monkeypatch,
+                                   ray_executions):
+    """The build's plan does not depend on the cluster's width: read as
+    9 CPUs, a build still runs one Ray execution and publishes the same
+    tables."""
+    from guacray.pipelines import kg
+    from guacray.pipelines.increment import read_graph_table
+    want = str(tmp_path / "want")
+    kg.run_kg(small_pages_path, want)
+    monkeypatch.setattr(kg, "cluster_cpus", lambda: 9, raising=False)
+    ray_executions.clear()
+    got = str(tmp_path / "got")
+    kg.run_kg(small_pages_path, got)
+    assert len(ray_executions) == 1, ray_executions
+    for t, key in (("nodes", ["node_id"]), ("edges", ["edge_id"]),
+                   ("triples", ["url", "edge_id"])):
+        x = read_graph_table(want, t).to_pandas() \
+            .sort_values(key).reset_index(drop=True)
+        y = read_graph_table(got, t).to_pandas() \
+            .sort_values(key).reset_index(drop=True)
+        pd.testing.assert_frame_equal(x, y[x.columns])
 
 
 def test_ingest_and_enrichment_ray_executions(small_pages, tmp_path,
                                               ray_executions):
-    """At the test cluster's width (``fused``) an ingest runs the
-    build's link-and-checkpoint pass, the touched-bucket pass and the
-    store write: 3 executions.  An enrichment pass runs 6."""
+    """An ingest runs the build's link-and-checkpoint pass, the
+    touched-bucket pass and the store write: 3 executions.  An
+    enrichment pass runs 6."""
     import pyarrow.parquet as pq
 
     from guacray.pipelines.enrich import run_enrichment
     from guacray.pipelines.increment import ingest_increment
-    from guacray.pipelines.kg import _auto_checkpoint_mode, run_kg
-    assert _auto_checkpoint_mode() == "fused"
+    from guacray.pipelines.kg import run_kg
     base, delta = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
     pq.write_table(small_pages.slice(0, 192), base)
     pq.write_table(small_pages.slice(192), delta)
@@ -215,17 +244,6 @@ def test_ingest_and_enrichment_ray_executions(small_pages, tmp_path,
     ray_executions.clear()
     assert run_enrichment(store, certifier="category", now=1000.0)["scanned"]
     assert len(ray_executions) == 6, ray_executions
-
-
-def test_unknown_checkpoint_mode_raises(small_pages_path, tmp_path):
-    """A mode outside {None, "disk", "fused"} fails at the API boundary,
-    before any output is created."""
-    import os
-    from guacray.pipelines.kg import run_kg
-    out = str(tmp_path / "out")
-    with pytest.raises(ValueError, match="checkpoint_mode"):
-        run_kg(small_pages_path, out, checkpoint_mode="mem")
-    assert not os.path.exists(out)
 
 
 _WIDTH_ONE_BUILD = """
@@ -248,19 +266,18 @@ want = [pa.Table.from_pylist(rows, schema=s).sort_by(key)
         for rows, s, key in zip(reference_graph(pages),
                                 (schemas.NODES, schemas.EDGES),
                                 ("node_id", "edge_id"))]
-for mode in ("fused", "disk"):
-    run_kg(f"{work}/pages.parquet", f"{work}/{mode}", checkpoint_mode=mode)
-    for w, name, key in zip(want, ("nodes", "edges"), ("node_id", "edge_id")):
-        got = pq.read_table(f"{work}/{mode}/{name}", columns=w.column_names)
-        assert got.cast(w.schema).sort_by(key).equals(w), (mode, name)
+run_kg(f"{work}/pages.parquet", f"{work}/out")
+for w, name, key in zip(want, ("nodes", "edges"), ("node_id", "edge_id")):
+    got = pq.read_table(f"{work}/out/{name}", columns=w.column_names)
+    assert got.cast(w.schema).sort_by(key).equals(w), name
 print("WIDTH1-OK")
 """
 
 
 def test_width_one_build_completes(tmp_path):
-    """At ``num_cpus=1`` the link actors hold no CPU slot, so both
-    checkpoint modes finish (rather than waiting forever behind the
-    pool) and match the reference graph.  Runs in its own 1-CPU Ray
+    """At ``num_cpus=1`` the link actors hold no CPU slot, so a build
+    finishes (rather than waiting forever behind the pool) and matches
+    the reference graph.  Runs in its own 1-CPU Ray
     cluster under a wall timeout."""
     import os
     import signal
@@ -292,14 +309,14 @@ def test_fused_checkpoint_rerun_idempotent(small_pages_path, tmp_path):
     tmp-dir promotion)."""
     from guacray.pipelines.kg import run_kg
     out = str(tmp_path / "out")
-    c1 = run_kg(small_pages_path, out, checkpoint_mode="fused")
-    c2 = run_kg(small_pages_path, out, checkpoint_mode="fused")
+    c1 = run_kg(small_pages_path, out)
+    c2 = run_kg(small_pages_path, out)
     assert c1 == c2
 
 
 def test_fused_checkpoint_empty_input(tmp_path):
     """Zero-row input still yields valid (0-row, canonical-schema)
-    parquet dirs in fused mode."""
+    parquet dirs."""
     import pyarrow.parquet as pq
     from guacray import schemas
     from guacray.data.pages import write_pages
@@ -309,24 +326,13 @@ def test_fused_checkpoint_empty_input(tmp_path):
     t = pq.read_table(pages)
     pq.write_table(t.slice(0, 0), pages)  # keep schema, drop rows
     out = str(tmp_path / "out")
-    counts = run_kg(pages, out, checkpoint_mode="fused")
+    counts = run_kg(pages, out)
     assert counts == {"triples": 0, "nodes": 0, "edges": 0, "evidence": 0}
     for t, schema in (("triples", schemas.TRIPLES), ("nodes", schemas.NODES),
                       ("edges", schemas.EDGES)):
         # the files themselves, without the hive partition column
         got = pq.read_table(f"{out}/{t}", partitioning=None)
         assert got.num_rows == 0 and got.schema.equals(schema), t
-
-
-def test_auto_checkpoint_mode_dispatch(monkeypatch):
-    """Width-aware mode dispatch: narrow clusters (≤ FUSED_MAX_CPUS)
-    run fused, wide ones disk.  The test session runs 4 CPUs."""
-    from guacray.pipelines import kg
-    assert kg._auto_checkpoint_mode() == "fused"
-    monkeypatch.setattr(kg, "cluster_cpus", lambda: kg.FUSED_MAX_CPUS)
-    assert kg._auto_checkpoint_mode() == "fused"
-    monkeypatch.setattr(kg, "cluster_cpus", lambda: kg.FUSED_MAX_CPUS + 1)
-    assert kg._auto_checkpoint_mode() == "disk"
 
 
 def _sorted_frame(ds) -> pd.DataFrame:
