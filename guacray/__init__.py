@@ -10,9 +10,9 @@ Layout:
   stages/     Ray Data stage builders (normalize, extract, link,
               canonicalize, dedup, quality, ann, sketches, components,
               multimodal, agg)
-  pipelines/  wired end-to-end pipelines (kg flagship, relational queries)
+  pipelines/  wired end-to-end pipelines (kg flagship, the store writer
+              and its lineage ledger, relational queries)
   query/      read-side graph query module (neighbors, path, top-k)
-  state/      partition manifest / lineage for resumable runs
 """
 
 __version__ = "0.2.0"

@@ -54,7 +54,8 @@ def main(argv: list[str] | None = None) -> int:
     i.add_argument("inputs", nargs="+",
                    help="pages parquet file(s); last arg is the output dir")
     i.add_argument("--resumable", action="store_true",
-                   help="per-input-file partitions with manifest/resume")
+                   help="checkpoint each group of input files, so a "
+                        "killed run resumes at the missing groups")
 
     ia = sub.add_parser("ingest-add",
                         help="merge new pages into a store "
@@ -112,10 +113,10 @@ def main(argv: list[str] | None = None) -> int:
         if not files:
             p.error("need at least one input file and an output dir")
         from .pipelines.kg import run_kg, run_kg_resumable
-        if args.resumable or len(files) > 1:
+        if args.resumable:
             counts = run_kg_resumable(files, out_dir)
         else:
-            counts = run_kg(files[0], out_dir)
+            counts = run_kg(files if len(files) > 1 else files[0], out_dir)
         print(json.dumps(counts))
         return 0
 

@@ -52,11 +52,16 @@ file).
 Exactly-once + crash safety: each table version carries an
 ``_applied.json`` ledger INSIDE the table dir (pyarrow datasets ignore
 ``_``-prefixed files), listing the content-addressed increment ids
-already merged; the ledger swaps atomically WITH the data.  Tables are
-committed nodes-first, edges-last: the edges ledger is the commit
-marker, and replaying an increment after any crash is safe because the
-node merge is idempotent (no counters) while an increment whose id is
-already in the edges ledger is skipped before anything runs.
+already merged (``applied``), the input files of each (``inputs``) and
+which of them are the last build's own partitions (``base``); the
+ledger swaps atomically WITH the data.  It is the store's one lineage
+record: a resumable rebuild (``run_kg_resumable``) reads it to choose
+which ingested increments it carries and which it rebuilds from its own
+files.  Tables are committed nodes-first, edges-last: the edges ledger
+is the commit marker, and replaying an increment after any crash is
+safe because the node merge is idempotent (no counters) while an
+increment whose id is already in the edges ledger is skipped before
+anything runs.
 """
 
 from __future__ import annotations
@@ -298,29 +303,52 @@ def table_counts(out_dir: str) -> dict:
             for name in ("nodes", "edges")}
 
 
-def ingested_since_build(out_dir: str) -> list[str]:
-    """Increment ids the store's edges ledger lists past its build's own
-    partitions (``base``): what ``ingest_increment`` merged since the
-    last publish.  Empty for a dir that holds no store yet."""
+def carried_increments(out_dir: str, files: list[str]) -> dict:
+    """The increments a rebuild of the store at ``out_dir`` from
+    ``files`` re-reads, as ``{id: files}``: those its edges ledger
+    lists past its build's own partitions (``base``), i.e. merged by
+    ``ingest_increment`` since the last publish, none of whose input
+    files is in ``files``.  One whose files are all in ``files`` is
+    rebuilt from them instead (carrying it too would count its pages
+    twice); one with only some raises ``ValueError``.  Empty for a dir
+    that holds no store yet."""
     d = os.path.join(out_dir, "edges")
     if not os.path.exists(_ledger_path(d)):
-        return []
+        return {}
     ledger = _read_ledger(d)
-    base = set(ledger["base"])
-    return [i for i in ledger["applied"] if i not in base]
+    # a ledger written before it recorded inputs knows no files: carry
+    inputs = ledger.get("inputs", {})
+    files = set(files)
+    carried = {}
+    for inc in ledger["applied"]:
+        if inc in ledger["base"]:
+            continue
+        own = inputs.get(inc, [])
+        shared = files.intersection(own)
+        if not shared:
+            carried[inc] = own
+        elif len(shared) < len(set(own)):
+            raise ValueError(
+                f"increment {inc} of the store at {out_dir} was ingested "
+                f"from {sorted(own)}; the rebuild reads only "
+                f"{sorted(shared)} of them — pass all or none")
+    return carried
 
 
-def publish_build(out_dir: str, rows, *, base: list[str],
-                  num_buckets: int, seed: int, increments: list[str] = (),
+def publish_build(out_dir: str, rows, *, base: dict[str, list[str]],
+                  num_buckets: int, seed: int,
+                  increments: dict[str, list[str]] | None = None,
                   before_commit=None) -> None:
     """Publish a full build — ``rows``, the canonical exchange's partial
     rows (``canonicalize.combined_rows``) — as the bucketed store,
-    ``num_buckets`` pinned in a fresh ledger.  ``base`` names the
-    build's own triples partitions and ``increments`` earlier ingests
-    the build re-read; the ledger's ``applied`` lists both and its
-    ``base`` the former, so a republish can tell them apart.  No live
-    bucket carries over: a rebuild into an existing store leaves no
-    stale bucket (of this or of another bucket count) behind.
+    ``num_buckets`` pinned in a fresh ledger.  ``base`` maps the
+    build's own triples partitions and ``increments`` the earlier
+    ingests the build re-read to their input files; the ledger's
+    ``applied`` lists both, its ``base`` the former, so a republish can
+    tell them apart, and its ``inputs`` maps every applied id to its
+    files.  No live bucket carries over: a rebuild into an existing
+    store leaves no stale bucket (of this or of another bucket count)
+    behind.
 
     Enrichment scan state and the tombstone log describe the previous
     tables, whose enrichment edges and deletes a build does not
@@ -332,7 +360,8 @@ def publish_build(out_dir: str, rows, *, base: list[str],
     tombstones = os.path.join(out_dir, TOMBSTONES)
     if os.path.exists(tombstones):
         os.remove(tombstones)
-    ledger = {"applied": list(base) + list(increments), "base": list(base),
+    inputs = {**base, **(increments or {})}
+    ledger = {"applied": list(inputs), "base": list(base), "inputs": inputs,
               "num_buckets": num_buckets, "seed": seed,
               "bucket_hash": BUCKET_HASH_ID}
     write_store(out_dir, rows, ledger, before_commit=before_commit)
@@ -409,7 +438,9 @@ def ingest_increment(pages_path, out_dir: str) -> dict:
     #    their merge is idempotent; the edges swap commits the increment)
     t0 = time.time()
     merge_rows(out_dir, delta,
-               {**ledger, "applied": ledger["applied"] + [inc]}, touched)
+               {**ledger, "applied": ledger["applied"] + [inc],
+                "inputs": {**ledger.get("inputs", {}), inc: files}},
+               touched)
     return {"increment": inc, "skipped": False,
             "sec_extract": round(t_extract, 2),
             "sec_canonicalize": round(t_canon, 2),

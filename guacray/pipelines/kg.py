@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 import shutil
-import time
 
 import pyarrow.parquet as pq
 import ray
@@ -43,7 +42,6 @@ from ..stages.canonicalize import (CANON_COLS, combined_rows,
 from ..stages.extract import extract
 from ..stages.link import link
 from ..stages.normalize import normalize
-from ..state.manifest import Manifest
 from .. import schemas
 
 
@@ -349,7 +347,8 @@ def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
     """
     from .increment import publish_build
     nb = resolve_buckets(num_buckets)
-    inc = _increment_id(_input_files(pages_path))
+    files = _input_files(pages_path)
+    inc = _increment_id(files)
     att = None
     if attestations_path is not None:
         # signed-attestation slice (identity propagation,
@@ -379,92 +378,91 @@ def run_kg(pages_path, out_dir: str, *, num_buckets: int | None = None,
         # inline checkpoint write) has completed
         seal_checkpoint(part)
         _commit_dir(tri_tmp, tri_dir)
-    publish_build(out_dir, rows, base=[inc], num_buckets=nb, seed=seed,
-                  before_commit=commit_triples)
+    publish_build(out_dir, rows, base={inc: files}, num_buckets=nb,
+                  seed=seed, before_commit=commit_triples)
+    return store_counts(out_dir)
+
+
+def store_counts(out_dir: str) -> dict:
+    """Row counts of a built store's tables (parquet footers, no Ray
+    job); evidence is the triples checkpoint's projection."""
     counts = {name: _dir_num_rows(os.path.join(out_dir, name))
               for name in ("triples", "nodes", "edges")}
     counts["evidence"] = counts["triples"]
     return counts
 
 
+# input files per resumable partition: each partition is one Ray
+# execution, so small groups buy restart granularity with executor
+# startups
+FILES_PER_PARTITION = 8
+
+
 def run_kg_resumable(pages_files: list[str], out_dir: str, *,
-                     num_buckets: int | None = None, seed: int = 42,
-                     files_per_partition: int = 8) -> dict:
-    """Resumable run: one checkpoint partition per GROUP of input files.
+                     num_buckets: int | None = None, seed: int = 42) -> dict:
+    """Resumable build: one checkpoint partition per GROUP of input files.
 
-    Phase A (per-partition, embarrassingly parallel, checkpointed): for
-    each group of ``files_per_partition`` input files whose partition is
-    not yet in the manifest, run normalize→extract→link, stage the
-    triples outside ``triples/`` (``stage_checkpoint``), commit them as
-    ``out_dir/triples/increment=part-<k>/`` + an atomic manifest entry
-    with lineage and metrics.  A killed run reruns only missing
-    partitions.  Grouping matters: each partition is a full
-    (cheap-but-not-free) Ray execution, so 10k input shards as 10k
-    partitions would pay 10k executor startups; ~8 files per partition
-    keeps restart granularity fine while amortizing that overhead.
+    Phase A (per-group, checkpointed): the sorted input files are cut
+    into groups of ``FILES_PER_PARTITION``, and each group is an
+    increment like any other, content-addressed by its file list
+    (``_increment_id``, the id ``ingest_increment`` gives the same
+    list).  A group whose ``triples/increment=<id>/`` dir exists is
+    done: the dir is staged outside ``triples/`` (``stage_checkpoint``)
+    and renamed into place only once complete (``_commit_dir``).  Every
+    other group runs normalize→extract→link and commits its partition,
+    so a killed run relinks only the missing groups, and a regrouped or
+    changed file list gets new ids by construction.  Grouping matters:
+    each partition is a full (cheap-but-not-free) Ray execution, so 10k
+    input shards as 10k partitions would pay 10k executor startups.
 
-    Phase B (global shuffle, idempotent): canonicalize from ALL
-    completed triple partitions, plus the increments ingested into an
-    earlier publish of this store, and publish nodes/edges as the same
-    bucketed store ``run_kg`` builds (ledger ``base`` = the partition
-    ids), so ``ingest_increment`` extends it like any other.  Triples
-    partitions neither read nor listed (another grouping's, an earlier
-    build's) are removed with their manifest entries, so the evidence
-    reads count each page once.  Safe to repeat — content-hash
-    identities make it a pure function of the triples table.
+    Phase B (global shuffle, idempotent): canonicalize from this run's
+    partitions plus the increments ingested since the store's last
+    publish whose files this run does not read (``carried_increments``),
+    and publish nodes/edges as the same bucketed store ``run_kg`` builds
+    (``publish_build``).  The store ledger is the one lineage record:
+    its ``base`` lists the groups and its ``inputs`` maps every applied
+    id to its files.  Every other triples partition (another grouping's,
+    an earlier build's, an ingest rebuilt from this run's files) is
+    removed after the publish, so the evidence reads count each page
+    once.
+
+    ``ValueError`` before any Ray work or write: an empty file list (it
+    would republish the store without its build), or an ingested
+    increment only some of whose files are in the list.  Returns the
+    same row counts as ``run_kg``.
     """
-    from .increment import ingested_since_build, publish_build
-    tri_root = os.path.join(out_dir, "triples")
-    man = Manifest(tri_root)
-    alias_ref = broadcast_alias_map(seed)
-
+    from .increment import carried_increments, publish_build
     files = sorted(pages_files)
-    groups = [files[i:i + files_per_partition]
-              for i in range(0, len(files), files_per_partition)]
-    for i, group in enumerate(groups):
-        pid = f"part-{i:05d}"
-        # skip only when the committed entry's recorded inputs match
-        # THIS group: partition ids are positional, so a changed input
-        # list (new file sorting first, different files_per_partition)
-        # shifts groups and a bare done() check would silently skip
-        # unprocessed files / keep stale outputs
-        if man.done_with_inputs(pid, group):
+    if not files:
+        raise ValueError("run_kg_resumable needs at least one input file")
+    carried = carried_increments(out_dir, files)
+    groups = {}
+    for i in range(0, len(files), FILES_PER_PARTITION):
+        group = files[i:i + FILES_PER_PARTITION]
+        groups[_increment_id(group)] = group
+    tri_root = os.path.join(out_dir, "triples")
+    os.makedirs(tri_root, exist_ok=True)
+    alias_ref = broadcast_alias_map(seed)
+    for inc, group in groups.items():
+        part = f"increment={inc}"
+        if os.path.isdir(os.path.join(tri_root, part)):
             continue
-        started = time.time()
-        part_dir = os.path.join(tri_root, f"increment={pid}")
-        stage = stage_checkpoint(out_dir, f"increment={pid}")
+        stage = stage_checkpoint(out_dir, part)
         linked_triples(rd.read_parquet(group), alias_ref).write_parquet(stage)
         seal_checkpoint(stage)
-        _commit_dir(stage, part_dir)
-        man.commit(pid, inputs=group, outputs=[part_dir],
-                   rows_in=sum(pq.ParquetFile(p).metadata.num_rows
-                               for p in group),
-                   rows_out=_dir_num_rows(part_dir), started=started)
+        _commit_dir(stage, os.path.join(tri_root, part))
 
-    # only manifest-committed partitions OF THIS RUN'S GROUPING feed the
-    # shuffle phase (stale entries from a previous, differently-grouped
-    # run would double-ingest their files)
-    valid = {f"part-{i:05d}" for i in range(len(groups))}
-    done = {pid: e["outputs"][0] for pid, e in man.completed().items()
-            if pid in valid}
-    carried = ingested_since_build(out_dir)
-    dirs = list(done.values()) + [os.path.join(tri_root, f"increment={i}")
-                                  for i in carried]
+    live = {f"increment={i}" for i in [*groups, *carried]}
     # read_parquet expands a single dir, but a LIST of paths must be files
-    part_files = [os.path.join(d, f) for d in dirs
-                  for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
+    part_files = [os.path.join(tri_root, d, f) for d in sorted(live)
+                  for f in sorted(os.listdir(os.path.join(tri_root, d)))
+                  if f.endswith(".parquet")]
     tri = read_parquet_fast(part_files, columns=CANON_COLS)
     nb = resolve_buckets(num_buckets)
     # ONE kind-tagged exchange for both tables (same plan as run_kg)
-    publish_build(out_dir, combined_rows(tri, nb), base=sorted(done),
+    publish_build(out_dir, combined_rows(tri, nb), base=groups,
                   increments=carried, num_buckets=nb, seed=seed)
-    for pid in set(man.completed()) - set(done):
-        man.drop(pid)
-    live = {os.path.basename(d) for d in dirs}
     for name in os.listdir(tri_root):
         if name.startswith("increment=") and name not in live:
             shutil.rmtree(os.path.join(tri_root, name))
-    counts = {name: _dir_num_rows(os.path.join(out_dir, name))
-              for name in ("nodes", "edges")}
-    counts["evidence"] = sum(_dir_num_rows(d) for d in dirs)
-    return counts
+    return store_counts(out_dir)

@@ -53,7 +53,12 @@ def test_cli_enrich(cli_graph, capsys):
     assert rep["scanned"] > 0
 
 
-def test_cli_resumable_ingest(tmp_path, capsys):
+def test_cli_resumable_ingest(tmp_path, capsys, monkeypatch):
+    """``--resumable`` checkpoints each group of input files as its own
+    content-addressed increment; several files without it are one
+    ``run_kg`` build, one partition."""
+    from guacray.pipelines import kg
+    monkeypatch.setattr(kg, "FILES_PER_PARTITION", 1)
     pages = generate_pages(96)
     files = []
     for i in range(3):
@@ -64,7 +69,15 @@ def test_cli_resumable_ingest(tmp_path, capsys):
     assert main(["ingest", *files, out, "--resumable"]) == 0
     counts = json.loads(capsys.readouterr().out.strip())
     assert counts["edges"] > 0
-    assert os.path.isdir(os.path.join(out, "triples", "_manifest"))
+    assert counts["triples"] == counts["evidence"] > 0
+    assert sorted(os.listdir(os.path.join(out, "triples"))) == sorted(
+        f"increment={kg._increment_id([f])}" for f in files)
+
+    plain = str(tmp_path / "plain")
+    assert main(["ingest", *files, plain]) == 0
+    assert json.loads(capsys.readouterr().out.strip()) == counts
+    assert os.listdir(os.path.join(plain, "triples")) == \
+        [f"increment={kg._increment_id(files)}"]
 
 
 def test_cli_props_chain_class(cli_graph, capsys):
